@@ -22,14 +22,12 @@ def main(argv=None):
     ap.add_argument("--start", type=float, default=0.0, help="first cross gain")
     ap.add_argument("--stop", type=float, default=2.0, help="last cross gain")
     ap.add_argument("--steps", type=int, default=21, help="grid points")
-    ap.add_argument("--seed", type=int, default=0, help="optimizer seed")
-    ap.add_argument("--restarts", type=int, default=8)
     ap.add_argument("--csv", type=str, default=None, help="also write CSV here")
     args = ap.parse_args(argv)
     if args.steps < 1:
         ap.error("--steps must be positive")
 
-    cfg = ifc.OptimizerConfig(seed=args.seed, restarts=args.restarts)
+    cfg = ifc.OptimizerConfig()
     header = ("g", "upper_kra", "upper_etw", "tin_lower", "gap", "binding", "verdict")
     print(f"{'g':>6}  {'KRA':>10}  {'ETW':>10}  {'TIN':>10}  {'gap':>10}  binding  verdict")
     rows = []

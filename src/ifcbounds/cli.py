@@ -34,6 +34,9 @@ from .gaussian_info import build_joint, conditional_mi
 from .model import (
     SCHEMA_VERSION,
     ChannelMatrix,
+    _want_matrix,
+    _want_number,
+    _want_vector,
     identity_noise,
     parse_channel_spec,
     validate_noise_correlation,
@@ -102,11 +105,14 @@ def _config_from_args(args: argparse.Namespace) -> OptimizerConfig:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0)")
-    p.add_argument("--restarts", type=int, default=None, help="multistart count (default 8)")
+    p.add_argument("--restarts", type=int, default=None,
+                   help="multistart count for KRA terms on 3 or more users (default 8)")
     p.add_argument("--max-evals", type=int, default=None,
-                   help="simplex evaluation budget per start (default 2000)")
+                   help="simplex evaluation budget per start, KRA terms on 3 or more "
+                        "users (default 2000)")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="optimizer convergence tolerance in bits (default 1e-7)")
+                   help="simplex convergence tolerance in bits, KRA terms on 3 or more "
+                        "users (default 1e-7)")
 
 
 def _load_json(path: str):
@@ -116,46 +122,6 @@ def _load_json(path: str):
 
 def _load_channel(path: str) -> ChannelMatrix:
     return parse_channel_spec(_load_json(path))
-
-
-def _complex_node(node, pointer: str) -> complex:
-    if isinstance(node, bool):
-        raise SchemaError(pointer, "expected a number or [re, im] pair")
-    if isinstance(node, (int, float)):
-        return complex(float(node), 0.0)
-    if (isinstance(node, list) and len(node) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)):
-        return complex(float(node[0]), float(node[1]))
-    raise SchemaError(pointer, "expected a number or [re, im] pair")
-
-
-def _complex_vector(node, pointer: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise SchemaError(pointer, "expected a nonempty array")
-    return np.array([_complex_node(v, f"{pointer}/{i}") for i, v in enumerate(node)],
-                    dtype=complex)
-
-
-def _complex_matrix(node, pointer: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise SchemaError(pointer, "expected a nonempty array of rows")
-    rows = []
-    for i, row in enumerate(node):
-        rows.append(_complex_vector(row, f"{pointer}/{i}"))
-    if len({r.size for r in rows}) != 1:
-        raise SchemaError(pointer, "rows must have equal length")
-    return np.array(rows, dtype=complex)
-
-
-def _real_vector(node, pointer: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise SchemaError(pointer, "expected a nonempty array")
-    out = []
-    for i, v in enumerate(node):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{pointer}/{i}", "expected a real number")
-        out.append(float(v))
-    return np.array(out)
 
 
 def _pair(z: complex) -> List[float]:
@@ -183,9 +149,9 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
     if not isinstance(params, dict):
         raise SchemaError("", "parameter file must contain a JSON object")
     if args.mode == "z":
-        sigma = validate_noise_correlation(_complex_matrix(params.get("sigma"), "/sigma"))
+        sigma = validate_noise_correlation(_want_matrix(params.get("sigma"), None, "/sigma"))
         if "diag_gains" in params:
-            gains = _real_vector(params["diag_gains"], "/diag_gains")
+            gains = _want_vector(params["diag_gains"], "/diag_gains", _want_number)
         else:
             gains = np.ones(sigma.K)
         ch = build_z_channel(sigma, gains)
@@ -195,9 +161,9 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
             "diag_gains": [float(g) for g in gains],
         }
     elif args.mode == "many-to-one":
-        v = _complex_vector(params.get("v"), "/v")
+        v = _want_vector(params.get("v"), "/v")
         if "diag_gains" in params:
-            gains = _real_vector(params["diag_gains"], "/diag_gains")
+            gains = _want_vector(params["diag_gains"], "/diag_gains", _want_number)
         else:
             gains = np.ones(v.size + 1)
         ch = many_to_one(v, gains)
@@ -207,8 +173,8 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
             "diag_gains": [float(g) for g in gains],
         }
     else:  # rank-one
-        a = _complex_vector(params.get("a"), "/a")
-        b = _complex_vector(params.get("b"), "/b")
+        a = _want_vector(params.get("a"), "/a")
+        b = _want_vector(params.get("b"), "/b")
         ch = rank_one_channel(a, b)
         prov = {
             "mode": "rank-one",

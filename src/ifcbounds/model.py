@@ -324,9 +324,19 @@ def _want_pair(node: Any, ptr: str) -> complex:
     return complex(_want_number(node[0], ptr + "/0"), _want_number(node[1], ptr + "/1"))
 
 
-def _want_matrix(node: Any, k: int, ptr: str) -> np.ndarray:
+def _want_vector(node: Any, ptr: str, want=_want_pair) -> np.ndarray:
+    """Nonempty array whose entries each pass ``want`` (complex by default)."""
+    if not isinstance(node, list) or not node:
+        raise SchemaError(ptr, "expected a nonempty array")
+    return np.array([want(v, f"{ptr}/{i}") for i, v in enumerate(node)])
+
+
+def _want_matrix(node: Any, k: Optional[int], ptr: str) -> np.ndarray:
+    """k x k complex matrix; ``k=None`` takes k from the number of rows."""
+    if k is None and isinstance(node, list) and node:
+        k = len(node)
     if not isinstance(node, list) or len(node) != k:
-        raise SchemaError(ptr, f"expected a list of {k} rows")
+        raise SchemaError(ptr, f"expected a list of {k or 'one or more'} rows")
     out = np.zeros((k, k), dtype=complex)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != k:

@@ -13,12 +13,15 @@ S and an ordering pi of S:
   the free parameter is one complex correlation per summand between the genie
   noise and the receiver noise, again minimized.
 
-Minimization is derivative-free (Nelder-Mead) with seeded multi-start over a
-hyperspherical angle parameterization that keeps the noise correlation
-feasible by construction.  A key reduction used throughout: conditioning on
-the inputs outside S makes a term depend only on the |S| x |S| subchannel
-H[pi, pi] and the matching block of the noise correlation, so every search
-runs in the reduced space and the witness is embedded back at the end.
+Every search over a single complex correlation -- each ETW summand and each
+KRA term on a pair of users -- is solved in closed form (``_pair_rho``).
+KRA terms on three or more users are minimized derivative-free (Nelder-Mead)
+with seeded multi-start over a hyperspherical angle parameterization that
+keeps the noise correlation feasible by construction.  A key reduction used
+throughout: conditioning on the inputs outside S makes a term depend only on
+the |S| x |S| subchannel H[pi, pi] and the matching block of the noise
+correlation, so every search runs in the reduced space and the witness is
+embedded back at the end.
 """
 
 from __future__ import annotations
@@ -97,13 +100,12 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 8
     max_evals: int = 2000
-    grid_fallback_K: int = 2
     tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if self.restarts < 1 or self.max_evals < 1 or self.grid_fallback_K < 0:
+        if self.restarts < 1 or self.max_evals < 1:
             raise ValidationError("optimizer counts must be positive")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
@@ -337,15 +339,37 @@ def _warm_sigma_candidate(Hr: np.ndarray) -> Optional[np.ndarray]:
     return sigma
 
 
+def _pair_rho(p: float, c: complex) -> complex:
+    """Exact minimizer of log2(p - |c + rho|^2) - log2(1 - |rho|^2) over |rho| <= RHO_CAP.
+
+    rho takes the phase of c; its magnitude is the smaller root of
+    |c| r^2 - (p - |c|^2 - 1) r + |c| = 0.  Both roots are real, with product
+    1, whenever p >= (1 + |c|)^2, which every caller guarantees; at equality
+    the objective falls all the way to |rho| = 1 and the cap binds.
+    """
+    a = abs(c)
+    if a == 0.0:
+        return 0j
+    b = p - a * a - 1.0
+    r = min(2.0 * a / (b + math.sqrt(max(b * b - 4.0 * a * a, 0.0))), RHO_CAP)
+    rho = r * (c / a)
+    while abs(rho) > RHO_CAP:  # the unit phase factor can round |rho| past the cap
+        rho *= 1.0 - 2.0 ** -52
+    return complex(rho)
+
+
 def kra_term_min(ch: ChannelMatrix, t: BoundTerm,
                  cfg: OptimizerConfig) -> Tuple[float, NoiseCorrelation]:
     """Minimize the correlated-noise term over the noise correlation.
 
-    Seeded multi-start Nelder-Mead in the angle parameterization; starts are
-    the identity, the recursion-inverted warm start when it is feasible, the
-    best cells of a coarse grid for small subsets (|S| <= grid_fallback_K),
-    and random draws.  Every candidate is re-scored through kra_term_value so
-    the returned value sits on the same code path as any caller comparison.
+    Pairs (|S| = 2) are solved in closed form: the only free entry rho of
+    Sigma enters as log2 det(Sigma + A_2) - log2 det(Sigma), which is the
+    _pair_rho objective with p = (1 + A_00)(1 + A_11) and c = A_01.  For
+    |S| >= 3 a seeded multi-start Nelder-Mead runs in the angle
+    parameterization; starts are the identity, the recursion-inverted warm
+    start when it is feasible, and random draws.  The identity is always a
+    candidate, and every candidate is re-scored through kra_term_value so the
+    returned value sits on the same code path as any caller comparison.
     """
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
@@ -354,23 +378,42 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm,
         return kra_term_value(ch, noise, t), noise
 
     grams = _term_grams(Hr)
+    candidate_sigmas: List[np.ndarray] = [np.eye(s, dtype=complex)]
+    if s == 2:
+        A = grams[0][1]
+        rho = _pair_rho((1.0 + A[0, 0].real) * (1.0 + A[1, 1].real), complex(A[0, 1]))
+        candidate_sigmas.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
+    else:
+        candidate_sigmas += _multistart_sigmas(Hr, grams, t, cfg)
+
+    best_val, best_sigma = np.inf, None
+    for sig in candidate_sigmas:
+        noise = _embed_sigma(sig, t, ch.K)
+        try:
+            val = kra_term_value(ch, noise, t)
+        except (SingularCovariance, InternalConsistencyError):
+            # a candidate that lands on (or numerically past) the boundary of
+            # the PSD cone is worthless as a witness, not a caller error
+            continue
+        if val < best_val:
+            best_val, best_sigma = val, noise
+    return best_val, best_sigma
+
+
+def _multistart_sigmas(Hr: np.ndarray, grams, t: BoundTerm,
+                       cfg: OptimizerConfig) -> List[np.ndarray]:
+    """Warm start and simplex end points of the |S| >= 3 correlation search."""
+    s = Hr.shape[0]
     par = CorrelationAngles(s)
     fun = lambda x: _lean_kra_value(par.sigma(x), grams)
 
-    candidate_sigmas: List[np.ndarray] = [np.eye(s, dtype=complex)]
+    candidate_sigmas: List[np.ndarray] = []
     starts: List[np.ndarray] = [par.identity_x()]
 
     warm = _warm_sigma_candidate(Hr)
     if warm is not None:
         candidate_sigmas.append(warm)
         starts.append(par.from_sigma(warm))
-
-    if s <= cfg.grid_fallback_K:
-        gx, gv = _coarse_grid(par, fun, per_axis=9)
-        order = np.argsort(gv, kind="stable")[:3]
-        for i in order:
-            starts.append(gx[i])
-        candidate_sigmas.append(par.sigma(gx[order[0]]))
 
     rng = np.random.default_rng([cfg.seed, 1, *t.perm])
     while len(starts) < cfg.restarts:
@@ -392,33 +435,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm,
         warnings.warn(BudgetExhaustedWarning(
             f"restarts for term {t.perm} spread {max(finals) - min(finals):.2e} bits; "
             f"consider more restarts or evaluations"))
-
-    best_val, best_sigma = np.inf, None
-    for sig in candidate_sigmas:
-        noise = _embed_sigma(sig, t, ch.K)
-        try:
-            val = kra_term_value(ch, noise, t)
-        except (SingularCovariance, InternalConsistencyError):
-            # a candidate that lands on (or numerically past) the boundary of
-            # the PSD cone is worthless as a witness, not a caller error
-            continue
-        if val < best_val:
-            best_val, best_sigma = val, noise
-    return best_val, best_sigma
-
-
-def _coarse_grid(par: CorrelationAngles, fun, per_axis: int) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Small full-factorial scan used to seed the simplex on low-dim terms."""
-    axes = []
-    for lo, hi in par.bounds:
-        if hi > np.pi:  # phase axis, keep the period open on the right
-            axes.append(np.linspace(lo, hi, per_axis, endpoint=False))
-        else:
-            axes.append(np.linspace(hi, lo + (hi - lo) * 1e-3, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.array([fun(p) for p in pts])
-    return [pts[i] for i in range(pts.shape[0])], vals
+    return candidate_sigmas
 
 
 # ---------------------------------------------------------------------------
@@ -475,36 +492,20 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     return total
 
 
-def etw_term_min(ch: ChannelMatrix, t: BoundTerm,
-                 cfg: OptimizerConfig) -> Tuple[float, Tuple[complex, ...]]:
-    """Minimize the genie term, one (magnitude, phase) search per summand.
+def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex, ...]]:
+    """Minimize the genie term in closed form, one correlation per summand.
 
     Each correlation appears in exactly one summand, so the problem separates.
+    Up to the constant -log2(v_g), a summand is
+    log2(v_y v_g - |c0 + rho|^2) - log2(1 - |rho|^2), and Cauchy-Schwarz gives
+    v_y v_g >= (1 + |c0|)^2, so _pair_rho returns its exact minimizer.
     rho = 0 is always scored as a candidate, making the classical uncorrelated
     choice an exact upper bound on the result.
     """
-    H = ch.entries
-    best_rhos: List[complex] = []
-    for i, (k, m) in enumerate(zip(t.subset, t.perm)):
-        vy, vg, c0 = _etw_summand_data(H, k, m)
-        fun = lambda x: _etw_summand(x[0] * np.exp(1j * x[1]), vy, vg, c0)
-        # the phase is periodic; widen its box so descent can cross +-pi
-        bounds = [(0.0, RHO_CAP), (-3 * np.pi, 3 * np.pi)]
-        phase0 = float(np.angle(c0)) if c0 != 0 else 0.0
-        starts = [np.array([0.0, phase0]), np.array([0.5, phase0]),
-                  np.array([0.95, phase0])]
-        rng = np.random.default_rng([cfg.seed, 2, k, m, *t.perm])
-        for _ in range(max(0, cfg.restarts - len(starts))):
-            starts.append(np.array([rng.uniform(0, RHO_CAP), rng.uniform(-np.pi, np.pi)]))
-        best_v, best_r = _etw_summand(0.0, vy, vg, c0), 0.0 + 0.0j
-        for x0 in starts:
-            res = minimize(fun, x0, method="Nelder-Mead", bounds=bounds,
-                           options={"maxfev": cfg.max_evals, "xatol": 1e-8,
-                                    "fatol": cfg.tolerance})
-            if np.isfinite(res.fun) and res.fun < best_v:
-                best_v = float(res.fun)
-                best_r = res.x[0] * np.exp(1j * res.x[1])
-        best_rhos.append(complex(best_r))
+    best_rhos = []
+    for k, m in zip(t.subset, t.perm):
+        vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
+        best_rhos.append(_pair_rho(vy * vg, c0))
 
     zeros = tuple(0.0 + 0.0j for _ in range(t.size))
     v_zero = etw_term_value(ch, t, zeros)
@@ -564,7 +565,7 @@ def region(ch: ChannelMatrix, cfg: OptimizerConfig,
                         val, noise = kra_term_min(ch, t, cfg)
                         wit = {"perm": t.perm, "sigma": noise.sigma}
                     else:
-                        val, rhos = etw_term_min(ch, t, cfg)
+                        val, rhos = etw_term_min(ch, t)
                         wit = {"perm": t.perm, "rhos": rhos}
                     if fam_best is None or val < fam_best[0]:
                         fam_best = (val, fam, wit)
@@ -587,8 +588,8 @@ def region(ch: ChannelMatrix, cfg: OptimizerConfig,
 
     consistent = sum_rate_upper >= max(lower.values()) - 1e-9
     config_echo = {"seed": cfg.seed, "restarts": cfg.restarts, "max_evals": cfg.max_evals,
-                   "grid_fallback_K": cfg.grid_fallback_K, "tolerance": cfg.tolerance,
-                   "families": list(fams), "sum_rate_only": sum_rate_only}
+                   "tolerance": cfg.tolerance, "families": list(fams),
+                   "sum_rate_only": sum_rate_only}
     return BoundReport(channel=ch, inequalities=tuple(inequalities),
                        sum_rate_upper=sum_rate_upper,
                        per_family_sum_rate=per_family_sum_rate,

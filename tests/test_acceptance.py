@@ -249,7 +249,7 @@ def test_criterion_7_genie_family_sanity():
     dominated = 0
     for _ in range(20):
         ch = random_upper_triangular_channel(rng, 2)
-        vmin, _ = ifc.etw_term_min(ch, t, CFG)
+        vmin, _ = ifc.etw_term_min(ch, t)
         if vmin <= ifc.etw_term_value(ch, t, [0.0, 0.0]):
             dominated += 1
         GUARD.append(("c7", vmin, ifc.tin_sum_rate(ch)))
@@ -257,7 +257,7 @@ def test_criterion_7_genie_family_sanity():
     for _ in range(20):
         g = random_gains(rng, 2)
         ch = ifc.validate_channel(np.diag(g))
-        vmin, _ = ifc.etw_term_min(ch, t, CFG)
+        vmin, _ = ifc.etw_term_min(ch, t)
         target = float(np.sum(np.log2(1 + g ** 2)))
         worst_diag = max(worst_diag, abs(vmin - target))
         GUARD.append(("c7", vmin, ifc.tin_sum_rate(ch)))

@@ -153,6 +153,22 @@ def test_construct_rank_one_mode(capsys, tmp_path):
     assert s[1] <= 1e-12 * s[0]
 
 
+def test_re_im_object_entries_are_rejected_with_pointer(capsys, tmp_path):
+    # entries are bare reals or [re, im] pairs; {"re", "im"} objects are not a format
+    spec = spec_file(tmp_path, "reim.json", [[1, {"re": 0.3, "im": 0.1}], [0, 1]])
+    code, out, err = run(capsys, ["certify", spec])
+    assert code == 2 and out == ""
+    assert "/H/0/1: expected a number or [re, im] pair" in err
+
+
+def test_construct_z_malformed_sigma_entry(capsys, tmp_path):
+    params = tmp_path / "zbad.json"
+    params.write_text(json.dumps({"sigma": [[1.0, 0.3], ["x", 1.0]]}))
+    code, out, err = run(capsys, ["construct", "z", str(params)])
+    assert code == 2 and out == ""
+    assert "/sigma/1/0: expected a number or [re, im] pair" in err
+
+
 def test_construct_many_to_one_power_violation(capsys, tmp_path):
     params = tmp_path / "m1.json"
     params.write_text(json.dumps({"v": [0.8, 0.7]}))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import ifcbounds as ifc
+from ifcbounds import outer_bound
 from ifcbounds.errors import TooLarge, ValidationError
+from ifcbounds.gaussian_info import RHO_CAP
 from ifcbounds.outer_bound import (
     CorrelationAngles,
     _etw_summand,
@@ -210,7 +212,7 @@ def test_etw_min_dominates_zero_rho():
     for _ in range(10):
         ch = random_channel(rng, 2)
         t = ifc.BoundTerm((1, 2), (2, 1))
-        vmin, rhos = ifc.etw_term_min(ch, t, CFG)
+        vmin, rhos = ifc.etw_term_min(ch, t)
         vzero = ifc.etw_term_value(ch, t, [0.0, 0.0])
         assert vmin <= vzero  # exact dominance, no tolerance
         assert abs(ifc.etw_term_value(ch, t, rhos) - vmin) < 1e-12
@@ -228,7 +230,7 @@ def test_etw_real_channels_match_real_line_sweep():
         H[np.diag_indices(K)] = np.abs(np.diagonal(H)) + 0.3
         ch = ifc.validate_channel(H)
         t = ifc.BoundTerm((1, 2), (2, 1))
-        vmin, _ = ifc.etw_term_min(ch, t, CFG)
+        vmin, _ = ifc.etw_term_min(ch, t)
         swept = 0.0
         for k, m in zip(t.subset, t.perm):
             vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
@@ -239,9 +241,77 @@ def test_etw_real_channels_match_real_line_sweep():
 def test_etw_single_user_min_at_zero():
     ch = ifc.validate_channel([[2.0]])
     t = ifc.BoundTerm((1,), (1,))
-    v, rhos = ifc.etw_term_min(ch, t, CFG)
+    v, rhos = ifc.etw_term_min(ch, t)
     assert abs(v - np.log2(5.0)) < 1e-9
     assert abs(rhos[0]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed-form pair searches
+
+def _scan_min(fun, n=48):
+    """Smallest value of fun(rho) on a polar grid over |rho| <= RHO_CAP,
+    including |rho| = RHO_CAP itself."""
+    mags = RHO_CAP * np.sin(np.linspace(0.0, np.pi / 2, n))
+    phases = np.linspace(-np.pi, np.pi, 2 * n, endpoint=False)
+    return min(fun(r * np.exp(1j * ph)) for r in mags for ph in phases)
+
+
+def _pair_kra_scan(ch, t):
+    grams = _term_grams(_reduced_channel(ch, t))
+    return _scan_min(lambda rho: _lean_kra_value(
+        np.array([[1.0, rho], [np.conj(rho), 1.0]]), grams))
+
+
+#: Cauchy-Schwarz is tight on term (2, 1) of this channel: both families'
+#: pair minimizers run into the cap |rho| = RHO_CAP
+TIGHT = [[1.0, 0.0], [1.0, 1.0]]
+TIGHT_TERM = ifc.BoundTerm((1, 2), (2, 1))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, "tight"])
+def test_pair_closed_forms_beat_dense_scan(K):
+    if K == "tight":
+        ch = ifc.validate_channel(TIGHT)
+    else:
+        ch = random_channel(np.random.default_rng(40 + K), K)
+    summand_scan = {}
+    for t in ifc.enumerate_terms(ch.K):
+        swept = 0.0
+        for k, m in zip(t.subset, t.perm):
+            if (k, m) not in summand_scan:
+                vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
+                summand_scan[k, m] = _scan_min(lambda r: _etw_summand(r, vy, vg, c0))
+            swept += summand_scan[k, m]
+        vmin, _ = ifc.etw_term_min(ch, t)
+        assert vmin <= swept + 1e-12, (t, vmin, swept)
+        if t.size == 2:
+            vmin, _ = ifc.kra_term_min(ch, t, CFG)
+            swept = _pair_kra_scan(ch, t)
+            assert vmin <= swept + 1e-12, (t, vmin, swept)
+
+
+def test_pair_minimizers_clamp_to_cap_when_cauchy_schwarz_is_tight():
+    ch = ifc.validate_channel(TIGHT)
+    _, rhos = ifc.etw_term_min(ch, TIGHT_TERM)
+    assert abs(rhos[0]) == pytest.approx(RHO_CAP, abs=1e-15) and rhos[1] == 0
+    _, noise = ifc.kra_term_min(ch, TIGHT_TERM, CFG)
+    assert abs(noise.sigma[0, 1]) == pytest.approx(RHO_CAP, abs=1e-15)
+
+
+def test_pair_searches_make_no_optimizer_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(outer_bound, "minimize", forbidden)
+    ch = random_channel(np.random.default_rng(44), 3)
+    for t in ifc.enumerate_terms(3):
+        ifc.etw_term_min(ch, t)
+        if t.size <= 2:
+            ifc.kra_term_min(ch, t, CFG)
+    # the patch is live: a three-user KRA term still runs the multistart
+    with pytest.raises(AssertionError, match="minimize called"):
+        ifc.kra_term_min(ch, ifc.BoundTerm((1, 2, 3), (1, 2, 3)), CFG)
 
 
 # ---------------------------------------------------------------------------
