@@ -218,7 +218,7 @@ def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: st
 def certify_sum_capacity(ch: ChannelMatrix, cfg: OptimizerConfig) -> Certificate:
     """Try the four certification routes in priority order.
 
-    Deterministic given (channel, cfg.seed).  The returned certificate's
+    Deterministic given the channel and cfg.  The returned certificate's
     details trace which routes were attempted and why they concluded.
     """
     H = ch.entries

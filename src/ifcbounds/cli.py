@@ -104,15 +104,16 @@ def _config_from_args(args: argparse.Namespace) -> OptimizerConfig:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for compatibility; changes no result (default 0)")
     p.add_argument("--restarts", type=int, default=None,
-                   help="multistart count for KRA terms on 3 or more users (default 8)")
+                   help="accepted for compatibility; changes no result (default 8)")
     p.add_argument("--max-evals", type=int, default=None,
-                   help="simplex evaluation budget per start, KRA terms on 3 or more "
-                        "users (default 2000)")
+                   help="BFGS iteration cap per start, KRA terms on 3 or more users "
+                        "(default 2000)")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="simplex convergence tolerance in bits, KRA terms on 3 or more "
-                        "users (default 1e-7)")
+                   help="BFGS gradient-norm tolerance, KRA terms on 3 or more users "
+                        "(default 1e-7)")
 
 
 def _load_json(path: str):

@@ -102,4 +102,9 @@ class InternalConsistencyError(ComputationError):
 
 
 class BudgetExhaustedWarning(UserWarning):
-    """Restarted searches disagreed more than expected; result kept."""
+    """Restarted searches disagreed more than expected; result kept.
+
+    No search in the package emits it: every bound term is solved in closed
+    form or by a convex local solve.  It stays importable for callers that
+    filter it.
+    """

@@ -21,12 +21,7 @@ from scipy.special import ndtri
 from .errors import LabelOverlap, SingularCovariance, TooLarge, ValidationError
 from .gaussian_info import LOG2PIE
 from .model import ChannelMatrix, JointGaussian, NoiseCorrelation
-from .outer_bound import (
-    BoundTerm,
-    CorrelationAngles,
-    _embed_sigma,
-    _reduced_channel,
-)
+from .outer_bound import BoundTerm, _embed_sigma, _reduced_channel
 
 _LN2 = float(np.log(2.0))
 
@@ -153,6 +148,57 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
 
 # ---------------------------------------------------------------------------
 # exhaustive grid over the noise-correlation angles (subset sizes 1..3)
+#
+# Sigma = L L^H with L lower triangular and every row on the unit sphere, the
+# row directions encoded hypersphere-style: row k (k >= 2) carries k-1 polar
+# angles theta in [THETA_MIN, pi/2] and k-1 phases.  theta = pi/2 everywhere
+# is the identity.  The theta floor keeps the matrix strictly nonsingular
+# (row correlations at most 1 - 1e-6); exactly singular couplings make the
+# term diverge, so nothing of value is excised.
+
+#: smallest polar angle of the grid; cos(THETA_MIN) = 1 - 1e-6
+THETA_MIN = float(np.arccos(1.0 - 1e-6))
+
+
+class CorrelationAngles:
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.n_params = dim * (dim - 1)
+        lo, hi = [], []
+        for k in range(2, dim + 1):
+            lo += [THETA_MIN] * (k - 1) + [0.0] * (k - 1)
+            hi += [np.pi / 2] * (k - 1) + [2 * np.pi] * (k - 1)
+        self.bounds = list(zip(lo, hi))
+        # sigma is 2*pi-periodic in every phase, but a box-constrained simplex
+        # cannot cross the wrap: a minimum just below phase 0 is unreachable
+        # from a start at phase 0.  Searches therefore get a box widened by a
+        # full period on each side; sampling stays on self.bounds.
+        self.search_bounds = [
+            (l, h) if h <= np.pi else (l - 2 * np.pi, h + 2 * np.pi)
+            for l, h in self.bounds
+        ]
+
+    def factor(self, x: np.ndarray) -> np.ndarray:
+        L = np.eye(self.dim, dtype=complex)
+        pos = 0
+        for k in range(2, self.dim + 1):
+            m = k - 1
+            th = x[pos:pos + m]
+            ph = x[pos + m:pos + 2 * m]
+            pos += 2 * m
+            run = 1.0
+            for j in range(m):
+                L[k - 1, j] = np.exp(1j * ph[j]) * np.cos(th[j]) * run
+                run *= np.sin(th[j])
+            L[k - 1, k - 1] = run
+        return L
+
+    def sigma(self, x: np.ndarray) -> np.ndarray:
+        L = self.factor(x)
+        s = L @ L.conj().T
+        np.fill_diagonal(s, 1.0)
+        return s
+
 
 def _det2(d1, d2, e12):
     return d1 * d2 - np.abs(e12) ** 2
@@ -206,7 +252,7 @@ def _explicit_term_value(x: np.ndarray, Hr: np.ndarray, par: CorrelationAngles) 
 
 def _theta_axis(resolution: int) -> np.ndarray:
     # pi/2 (identity) first so a resolution-1 grid degenerates to it
-    return np.linspace(np.pi / 2, np.arccos(1.0 - 1e-6), resolution)
+    return np.linspace(np.pi / 2, THETA_MIN, resolution)
 
 
 def _phi_axis(resolution: int) -> np.ndarray:
@@ -219,7 +265,7 @@ def grid_min_sigma(ch: ChannelMatrix, t: BoundTerm,
 
     Supports subset sizes up to 3 (2 angle parameters for size 2, 6 for
     size 3).  Vectorized with explicit Hermitian determinant formulas, so it
-    shares no evaluation code with the simplex optimizer it validates.
+    shares no evaluation code with the BFGS solve it validates.
     """
     if ch.K > 3:
         raise TooLarge("grid search supports at most 3 users")

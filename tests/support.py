@@ -7,7 +7,7 @@ reproducible under pytest -p no:randomly and friends.
 import numpy as np
 
 import ifcbounds as ifc
-from ifcbounds.outer_bound import CorrelationAngles
+from ifcbounds.oracle import CorrelationAngles
 
 
 def sample_interior_sigma(rng, K, margin=0.15, eig_floor=5e-3):

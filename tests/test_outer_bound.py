@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ifcbounds as ifc
 from ifcbounds import outer_bound
 from ifcbounds.errors import TooLarge, ValidationError
 from ifcbounds.gaussian_info import RHO_CAP
+from ifcbounds.oracle import CorrelationAngles
 from ifcbounds.outer_bound import (
-    CorrelationAngles,
     _etw_summand,
     _etw_summand_data,
+    _factored_value_grad,
     _lean_kra_value,
     _reduced_channel,
     _term_grams,
@@ -174,6 +176,53 @@ def test_min_no_worse_than_generating_coupling():
     # the generating coupling is optimal for these channels, so equality
     assert abs(val - at_gen) < 1e-7
     assert abs(at_gen - ifc.tin_sum_rate(ch)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 4))
+def test_lean_kra_value_is_midpoint_convex(seed, s):
+    # convexity in Sigma is what makes a local solver's end point the minimum
+    rng = np.random.default_rng(seed)
+    grams = _term_grams(random_channel(rng, s).entries)
+    s0 = sample_interior_sigma(rng, s).sigma
+    s1 = sample_interior_sigma(rng, s).sigma
+    mean = (_lean_kra_value(s0, grams) + _lean_kra_value(s1, grams)) / 2
+    assert _lean_kra_value((s0 + s1) / 2, grams) <= mean + 1e-9
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_factored_gradient_matches_central_differences(s):
+    rng = np.random.default_rng(50 + s)
+    grams = _term_grams(random_channel(rng, s).entries)
+    h = 1e-6
+    for _ in range(3):
+        x = rng.normal(size=2 * s * s)
+        _, grad = _factored_value_grad(x, grams)
+        fd = np.array([(_factored_value_grad(x + h * e, grams)[0]
+                        - _factored_value_grad(x - h * e, grams)[0]) / (2 * h)
+                       for e in np.eye(x.size)])
+        assert np.max(np.abs(grad - fd)) < 1e-6 * (1.0 + np.max(np.abs(grad)))
+
+
+def test_four_user_terms_are_minima():
+    rng = np.random.default_rng(60)
+    ch = random_channel(rng, 4)
+    samples = [sample_interior_sigma(rng, 4).sigma for _ in range(200)]
+    for t in ifc.enumerate_terms(4):
+        if t.size < 4:
+            continue
+        val, wit = ifc.kra_term_min(ch, t, CFG)
+        assert ifc.kra_term_value(ch, wit, t) == val  # witness re-scores exactly
+        assert val <= ifc.kra_term_value(ch, ifc.identity_noise(4), t) + 1e-9
+        # samples stand for couplings in pi order: the lean value is the term
+        grams = _term_grams(_reduced_channel(ch, t))
+        assert val <= min(_lean_kra_value(sig, grams) for sig in samples) + 1e-9
+        # no descent along segments toward random interior couplings
+        for _ in range(20):
+            toward = sample_interior_sigma(rng, 4).sigma
+            for eps in (1e-3, 1e-2, 0.1):
+                mixed = ifc.validate_noise_correlation((1 - eps) * wit.sigma + eps * toward)
+                assert ifc.kra_term_value(ch, mixed, t) >= val - 1e-7, (t, eps)
 
 
 # ---------------------------------------------------------------------------
