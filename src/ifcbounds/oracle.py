@@ -8,6 +8,8 @@ optimizer on small problems with explicit 1x1/2x2/3x3 determinant formulas.
 
 Sampling uses a counter-based generator (Philox) driving inverse-CDF normals,
 a portable, named recipe: u ~ U(0,1), z = (ndtri(u1) + i ndtri(u2)) / sqrt(2).
+scipy (``ndtri``, and ``minimize`` for the grid's refinement) is imported in
+the functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtri
 
 from .errors import LabelOverlap, SingularCovariance, TooLarge, ValidationError
 from .gaussian_info import LOG2PIE
@@ -120,6 +120,7 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     w_c, p_c, ld_c = _conditional_pieces(cov, ia, ic)
     w_bc, p_bc, ld_bc = _conditional_pieces(cov, ia, ib + ic)
 
+    from scipy.special import ndtri
     factor = _psd_factor(cov)
     gen = np.random.Generator(np.random.Philox(seed))
     total = 0.0
@@ -350,6 +351,7 @@ def grid_min_sigma(ch: ChannelMatrix, t: BoundTerm,
     candidates.sort(key=lambda cv: cv[0])
     best_val, best_x = candidates[0]
     if resolution > 1:  # a one-cell grid is a point probe, nothing to refine
+        from scipy.optimize import minimize
         for v0, x0 in candidates[:5]:
             res = minimize(lambda x: _explicit_term_value(x, Hr, par), x0,
                            method="Nelder-Mead", bounds=par.search_bounds,

@@ -18,7 +18,8 @@ KRA term on a pair of users -- is solved in closed form (``_pair_rho``).
 A KRA term on three or more users is convex in the noise correlation, and is
 minimized by BFGS with the analytic gradient over a factored correlation
 Sigma = U U^H whose rows of U are kept at unit length, which keeps it
-feasible by construction.  A key reduction used
+feasible by construction.  That BFGS solve is the module's only use of scipy,
+which is imported on its first call (``minimize``).  A key reduction used
 throughout: conditioning on the inputs outside S makes a term depend only on
 the |S| x |S| subchannel H[pi, pi] and the matching block of the noise
 correlation, so every search runs in the reduced space and the witness is
@@ -34,7 +35,6 @@ from itertools import combinations, permutations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .achievability import mac_feasibility, tin_sum_rate, tin_sum_rate_general
 from .errors import (
@@ -69,6 +69,14 @@ FAMILIES = (FAMILY_KRA, FAMILY_ETW)
 ENUM_MAX_K = 8
 
 _LN2 = float(np.log(2.0))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call so that importing
+    the package, and every command that solves no KRA term on three or more
+    users, does not pay scipy's start-up."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
