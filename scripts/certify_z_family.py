@@ -35,14 +35,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--users", type=int, default=3, help="number of users K")
     ap.add_argument("--trials", type=int, default=25)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="seed of the channel sampler")
     ap.add_argument("--json", type=str, default=None, help="write summary here")
     args = ap.parse_args(argv)
     if args.users < 1 or args.trials < 1:
         ap.error("--users and --trials must be positive")
 
     rng = np.random.default_rng(args.seed)
-    cfg = ifc.OptimizerConfig(seed=args.seed)
     paths = {}
     gaps = []
     slowest = (0.0, -1)
@@ -51,7 +50,7 @@ def main(argv=None):
         gains = np.exp(rng.uniform(np.log(0.25), np.log(4.0), args.users))
         ch = ifc.build_z_channel(sig, gains)
         t0 = time.monotonic()
-        cert = ifc.certify_sum_capacity(ch, cfg)
+        cert = ifc.certify_sum_capacity(ch)
         dt = time.monotonic() - t0
         paths[cert.path] = paths.get(cert.path, 0) + 1
         gaps.append(cert.gap_bits)

@@ -27,19 +27,18 @@ def main(argv=None):
     if args.steps < 1:
         ap.error("--steps must be positive")
 
-    cfg = ifc.OptimizerConfig()
     header = ("g", "upper_kra", "upper_etw", "tin_lower", "gap", "binding", "verdict")
     print(f"{'g':>6}  {'KRA':>10}  {'ETW':>10}  {'TIN':>10}  {'gap':>10}  binding  verdict")
     rows = []
     for g in np.linspace(args.start, args.stop, args.steps):
         ch = ifc.validate_channel(np.array([[1.0, g], [g, 1.0]], dtype=complex))
-        rep = ifc.region(ch, cfg, sum_rate_only=True)
+        rep = ifc.region(ch, sum_rate_only=True)
         kra = rep.per_family_sum_rate[ifc.FAMILY_KRA]
         etw = rep.per_family_sum_rate[ifc.FAMILY_ETW]
         tin = rep.lower_bounds["TIN"]
         gap = rep.sum_rate_upper - tin
         binding = ifc.FAMILY_KRA if kra <= etw else ifc.FAMILY_ETW
-        cert = ifc.certify_sum_capacity(ch, cfg)
+        cert = ifc.certify_sum_capacity(ch)
         rows.append((f"{g:.4f}", f"{kra:.6f}", f"{etw:.6f}", f"{tin:.6f}",
                      f"{gap:.6f}", binding, cert.status))
         print(f"{g:6.3f}  {kra:10.6f}  {etw:10.6f}  {tin:10.6f}  {gap:10.6f}"

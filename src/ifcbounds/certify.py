@@ -59,7 +59,6 @@ from .model import (
 )
 from .outer_bound import (
     BoundTerm,
-    OptimizerConfig,
     _warm_sigma_candidate,
     etw_term_value,
     kra_term_value,
@@ -215,10 +214,10 @@ def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: st
     return Certificate(CERTIFIED, path, gap, upper, lower, tuple(details))
 
 
-def certify_sum_capacity(ch: ChannelMatrix, cfg: OptimizerConfig) -> Certificate:
+def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
     """Try the four certification routes in priority order.
 
-    Deterministic given the channel and cfg.  The returned certificate's
+    Deterministic given the channel.  The returned certificate's
     details trace which routes were attempted and why they concluded.
     """
     H = ch.entries
@@ -287,7 +286,7 @@ def certify_sum_capacity(ch: ChannelMatrix, cfg: OptimizerConfig) -> Certificate
                 if cert is not None:
                     return cert
 
-    rep = region(ch, cfg, sum_rate_only=True)
+    rep = region(ch, sum_rate_only=True)
     upper = rep.sum_rate_upper
     lower_name = max(rep.lower_bounds, key=lambda n: rep.lower_bounds[n])
     lower = rep.lower_bounds[lower_name]

@@ -6,8 +6,9 @@ errors go to stderr.  Exit codes: 0 success / certified, 1 not certified or
 oracle mismatch, 2 parse or validation failure, 3 problem too large,
 4 internal inconsistency.
 
-Flags have environment-variable fallbacks prefixed ``IFC_`` (e.g.
-``IFC_SEED``); an explicit flag always wins over the environment.
+Two flags have environment-variable fallbacks: ``--families`` falls back to
+``IFC_FAMILIES`` and ``verify --seed`` to ``IFC_SEED``; an explicit flag always
+wins over the environment.  The bound solves themselves take no settings.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ from .model import (
 )
 from .oracle import mc_mutual_information
 from .outer_bound import (
-    FAMILIES,
     FAMILY_ETW,
     FAMILY_KRA,
-    OptimizerConfig,
     count_bounds,
     region,
 )
@@ -69,16 +68,6 @@ def _env_int(name: str, fallback: int) -> int:
         raise SchemaError("/" + name, f"environment override {name}={raw!r} is not an integer")
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise SchemaError("/" + name, f"environment override {name}={raw!r} is not a number")
-
-
 def _resolve_families(raw: Optional[str]) -> Tuple[str, ...]:
     if raw is None:
         raw = os.environ.get("IFC_FAMILIES", "kra,etw")
@@ -93,27 +82,6 @@ def _resolve_families(raw: Optional[str]) -> Tuple[str, ...]:
     if not fams:
         raise SchemaError("/families", "at least one family required")
     return tuple(fams)
-
-
-def _config_from_args(args: argparse.Namespace) -> OptimizerConfig:
-    seed = args.seed if args.seed is not None else _env_int("IFC_SEED", 0)
-    restarts = args.restarts if args.restarts is not None else _env_int("IFC_RESTARTS", 8)
-    max_evals = args.max_evals if args.max_evals is not None else _env_int("IFC_MAX_EVALS", 2000)
-    tol = args.tolerance if args.tolerance is not None else _env_float("IFC_TOLERANCE", 1e-7)
-    return OptimizerConfig(seed=seed, restarts=restarts, max_evals=max_evals, tolerance=tol)
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for compatibility; changes no result (default 0)")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="accepted for compatibility; changes no result (default 8)")
-    p.add_argument("--max-evals", type=int, default=None,
-                   help="BFGS iteration cap per start, KRA terms on 3 or more users "
-                        "(default 2000)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="BFGS gradient-norm tolerance, KRA terms on 3 or more users "
-                        "(default 1e-7)")
 
 
 def _load_json(path: str):
@@ -139,8 +107,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> Tuple[str, int]:
         raise TooLarge(
             f"full-region evaluation supports K <= {FULL_REGION_MAX_K}; "
             "pass --sum-rate-only for larger channels")
-    cfg = _config_from_args(args)
-    rep = region(ch, cfg, families=fams, sum_rate_only=args.sum_rate_only)
+    rep = region(ch, families=fams, sum_rate_only=args.sum_rate_only)
     out = json.dumps(rep.to_json_dict(), indent=2) + "\n"
     return out, 0 if rep.consistent else 4
 
@@ -189,8 +156,7 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
 
 def _cmd_certify(args: argparse.Namespace) -> Tuple[str, int]:
     ch = _load_channel(args.channel)
-    cfg = _config_from_args(args)
-    cert = certify_sum_capacity(ch, cfg)
+    cert = certify_sum_capacity(ch)
     out = json.dumps(cert.to_json_dict(), indent=2) + "\n"
     return out, 0 if cert.status == CERTIFIED else 1
 
@@ -248,14 +214,13 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         values = np.array([args.start])
     else:
         values = np.linspace(args.start, args.stop, args.steps)
-    cfg = _config_from_args(args)
     lines = ["parameter,upper_kra,upper_etw,tin_lower,gap"]
     for v in values:
         doc = json.loads(json.dumps(template))
         for ptr in pointers:
             _set_pointer(doc, ptr, float(v))
         ch = parse_channel_spec(doc)
-        rep = region(ch, cfg, families=FAMILIES, sum_rate_only=True)
+        rep = region(ch, sum_rate_only=True)
         up_kra = rep.per_family_sum_rate[FAMILY_KRA]
         up_etw = rep.per_family_sum_rate[FAMILY_ETW]
         tin = rep.lower_bounds["TIN"]
@@ -317,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sum-rate-only", action="store_true",
                         help="bound only the sum rate (required for K > "
                              f"{FULL_REGION_MAX_K})")
-    _add_common_flags(p_eval)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_con = sub.add_parser("construct", help="build a channel with known sum capacity")
@@ -327,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="attempt a sum-capacity certificate")
     p_cert.add_argument("channel", help="path to a channel spec JSON file")
-    _add_common_flags(p_cert)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="sweep a scalar channel parameter, emit CSV")
@@ -337,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="Monte-Carlo spot checks of the analytic engine")

@@ -35,8 +35,6 @@ from support import (
     sample_interior_sigma,
 )
 
-CFG = ifc.OptimizerConfig()
-
 # (label, sum-rate upper, achievable rate) triples recorded along the way
 GUARD = []
 
@@ -89,7 +87,7 @@ def test_criterion_2_z_family_certification():
             ladder = ifc.tin_sum_rate(ch)
             v = ifc.kra_term_value(ch, sig, _full_term(K))
             worst_ladder = max(worst_ladder, abs(v - ladder))
-            cert = ifc.certify_sum_capacity(ch, CFG)
+            cert = ifc.certify_sum_capacity(ch)
             assert cert.status == ifc.CERTIFIED and cert.path == ifc.PATH_Z
             worst_gap = max(worst_gap, abs(cert.gap_bits))
             GUARD.append(("c2", cert.upper_bits, ladder))
@@ -120,7 +118,7 @@ def test_criterion_3_degraded_channels():
         s_chain = ifc.degraded_chain_sum_rate(a, np.diagonal(ch.entries).real)
         worst = max(worst, abs(s_bc - s_ladder), abs(s_ladder - s_chain),
                     abs(s_bc - s_chain))
-        cert = ifc.certify_sum_capacity(ch, CFG)
+        cert = ifc.certify_sum_capacity(ch)
         assert cert.status == ifc.CERTIFIED and cert.path == ifc.PATH_DEGRADED
         GUARD.append(("c3", cert.upper_bits, s_ladder))
         n += 1
@@ -143,7 +141,7 @@ def test_criterion_4_optimizer_vs_grid():
         for K, res in cases:
             ch = random_upper_triangular_channel(rng, K)
             t = _full_term(K)
-            oval, _ = ifc.kra_term_min(ch, t, CFG)
+            oval, _ = ifc.kra_term_min(ch, t)
             gval, _ = ifc.grid_min_sigma(ch, t, resolution=res)
             worst = max(worst, abs(oval - gval))
             GUARD.append(("c4", oval, ifc.tin_sum_rate(ch)))

@@ -84,8 +84,7 @@ def test_evaluate_large_k_needs_sum_rate_only(capsys, tmp_path):
 
 def test_evaluate_sum_rate_only_single_inequality(capsys, tmp_path):
     path = spec_file(tmp_path, "k3.json", np.eye(3).tolist())
-    code, out, _ = run(capsys, ["evaluate", path, "--sum-rate-only",
-                                "--restarts", "2", "--max-evals", "300"])
+    code, out, _ = run(capsys, ["evaluate", path, "--sum-rate-only"])
     assert code == 0
     doc = json.loads(out)
     assert len(doc["inequalities"]) == 1
@@ -182,7 +181,6 @@ def test_sweep_csv_shape(capsys, tmp_path):
     code, out, _ = run(capsys, [
         "sweep", tmpl, "--param", "/H/0/1,/H/1/0",
         "--start", "0", "--stop", "2", "--steps", "21",
-        "--restarts", "2", "--max-evals", "400",
     ])
     assert code == 0
     lines = out.strip().split("\n")
@@ -208,16 +206,31 @@ def test_verify_exit_zero(capsys, z2):
     assert all(q["ok"] for q in doc["queries"])
 
 
-def test_seed_flag_beats_environment(capsys, weak2, monkeypatch):
+def test_seed_flag_beats_environment(capsys, z2, monkeypatch):
     monkeypatch.setenv("IFC_SEED", "5")
-    _, out_env, _ = run(capsys, ["evaluate", weak2])
-    assert json.loads(out_env)["config"]["seed"] == 5
-    _, out_flag, _ = run(capsys, ["evaluate", weak2, "--seed", "9"])
-    assert json.loads(out_flag)["config"]["seed"] == 9
+    _, out_env, _ = run(capsys, ["verify", z2, "--mc-samples", "10000"])
+    assert json.loads(out_env)["seed"] == 5
+    _, out_flag, _ = run(capsys, ["verify", z2, "--mc-samples", "10000", "--seed", "9"])
+    assert json.loads(out_flag)["seed"] == 9
 
 
-def test_bad_environment_value_exits_two(capsys, weak2, monkeypatch):
-    monkeypatch.setenv("IFC_RESTARTS", "many")
-    code, _, err = run(capsys, ["evaluate", weak2])
+def test_bad_environment_value_exits_two(capsys, z2, monkeypatch):
+    monkeypatch.setenv("IFC_SEED", "many")
+    code, _, err = run(capsys, ["verify", z2, "--mc-samples", "10000"])
     assert code == 2
-    assert "IFC_RESTARTS" in err
+    assert "IFC_SEED" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "certify", "sweep"])
+@pytest.mark.parametrize("flag", ["--seed", "--restarts", "--max-evals", "--tolerance"])
+def test_solver_settings_are_not_options(capsys, weak2, command, flag):
+    argv = [command, weak2]
+    if command == "sweep":
+        argv += ["--param", "/H/0/1", "--start", "0", "--stop", "1", "--steps", "1"]
+    if command == "evaluate":
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert set(json.loads(out)["config"]) == {"families", "sum_rate_only"}
+    code, out, err = run(capsys, argv + [flag, "1"])
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err

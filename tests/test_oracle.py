@@ -6,8 +6,6 @@ from ifcbounds.errors import TooLarge, ValidationError
 
 from support import random_channel, random_joint, random_upper_triangular_channel
 
-CFG = ifc.OptimizerConfig()
-
 
 def two_user_unit_mi_joint():
     # X ~ CN(0,1), Y = X + Z: I(Y;X) = 1 bit
@@ -93,7 +91,7 @@ def test_grid_agrees_with_optimizer_two_user():
     ch = random_upper_triangular_channel(rng, 2)
     t = ifc.BoundTerm((1, 2), (1, 2))
     gval, _ = ifc.grid_min_sigma(ch, t, resolution=200)
-    oval, _ = ifc.kra_term_min(ch, t, CFG)
+    oval, _ = ifc.kra_term_min(ch, t)
     assert abs(gval - oval) < 1e-4
 
 

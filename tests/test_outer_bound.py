@@ -23,9 +23,6 @@ from support import (
     sample_interior_sigma,
 )
 
-CFG = ifc.OptimizerConfig()
-FAST = ifc.OptimizerConfig(restarts=4, max_evals=600)
-
 
 def test_count_values():
     assert [ifc.count_bounds(k) for k in (1, 2, 3, 4, 5)] == [1, 4, 15, 64, 325]
@@ -61,13 +58,6 @@ def test_bound_term_validation():
         ifc.BoundTerm(subset=(1, 2), perm=(1, 1))
     with pytest.raises(ValidationError):
         ifc.BoundTerm(subset=(1, 2), perm=(1, 3))
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValidationError):
-        ifc.OptimizerConfig(restarts=0)
-    with pytest.raises(ValidationError):
-        ifc.OptimizerConfig(tolerance=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +138,7 @@ def test_conditioning_removes_complement_interference():
 def test_min_brackets_on_diagonal_channel():
     ch = ifc.validate_channel(np.eye(2))
     t = ifc.BoundTerm((1, 2), (1, 2))
-    val, sig = ifc.kra_term_min(ch, t, CFG)
+    val, sig = ifc.kra_term_min(ch, t)
     ident = ifc.kra_term_value(ch, ifc.identity_noise(2), t)
     assert val <= ident + 1e-12
     assert val >= ifc.tin_sum_rate(ch) - 1e-9
@@ -159,7 +149,7 @@ def test_min_dominates_random_couplings():
     rng = np.random.default_rng(24)
     ch = random_upper_triangular_channel(rng, 2)
     t = ifc.BoundTerm((1, 2), (1, 2))
-    val, wit = ifc.kra_term_min(ch, t, CFG)
+    val, wit = ifc.kra_term_min(ch, t)
     assert abs(ifc.kra_term_value(ch, wit, t) - val) < 1e-12  # witness re-scores exactly
     for _ in range(10):
         sig = sample_interior_sigma(rng, 2)
@@ -171,7 +161,7 @@ def test_min_no_worse_than_generating_coupling():
     ch, sig = random_z_channel(rng, 3)
     t = ifc.BoundTerm((1, 2, 3), (1, 2, 3))
     at_gen = ifc.kra_term_value(ch, sig, t)
-    val, _ = ifc.kra_term_min(ch, t, FAST)
+    val, _ = ifc.kra_term_min(ch, t)
     assert val <= at_gen + 1e-9
     # the generating coupling is optimal for these channels, so equality
     assert abs(val - at_gen) < 1e-7
@@ -211,7 +201,7 @@ def test_four_user_terms_are_minima():
     for t in ifc.enumerate_terms(4):
         if t.size < 4:
             continue
-        val, wit = ifc.kra_term_min(ch, t, CFG)
+        val, wit = ifc.kra_term_min(ch, t)
         assert ifc.kra_term_value(ch, wit, t) == val  # witness re-scores exactly
         assert val <= ifc.kra_term_value(ch, ifc.identity_noise(4), t) + 1e-9
         # samples stand for couplings in pi order: the lean value is the term
@@ -335,7 +325,7 @@ def test_pair_closed_forms_beat_dense_scan(K):
         vmin, _ = ifc.etw_term_min(ch, t)
         assert vmin <= swept + 1e-12, (t, vmin, swept)
         if t.size == 2:
-            vmin, _ = ifc.kra_term_min(ch, t, CFG)
+            vmin, _ = ifc.kra_term_min(ch, t)
             swept = _pair_kra_scan(ch, t)
             assert vmin <= swept + 1e-12, (t, vmin, swept)
 
@@ -344,7 +334,7 @@ def test_pair_minimizers_clamp_to_cap_when_cauchy_schwarz_is_tight():
     ch = ifc.validate_channel(TIGHT)
     _, rhos = ifc.etw_term_min(ch, TIGHT_TERM)
     assert abs(rhos[0]) == pytest.approx(RHO_CAP, abs=1e-15) and rhos[1] == 0
-    _, noise = ifc.kra_term_min(ch, TIGHT_TERM, CFG)
+    _, noise = ifc.kra_term_min(ch, TIGHT_TERM)
     assert abs(noise.sigma[0, 1]) == pytest.approx(RHO_CAP, abs=1e-15)
 
 
@@ -357,10 +347,10 @@ def test_pair_searches_make_no_optimizer_call(monkeypatch):
     for t in ifc.enumerate_terms(3):
         ifc.etw_term_min(ch, t)
         if t.size <= 2:
-            ifc.kra_term_min(ch, t, CFG)
+            ifc.kra_term_min(ch, t)
     # the patch is live: a three-user KRA term still runs the multistart
     with pytest.raises(AssertionError, match="minimize called"):
-        ifc.kra_term_min(ch, ifc.BoundTerm((1, 2, 3), (1, 2, 3)), CFG)
+        ifc.kra_term_min(ch, ifc.BoundTerm((1, 2, 3), (1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def test_pair_searches_make_no_optimizer_call(monkeypatch):
 
 def test_region_diagonal_two_user():
     ch = ifc.validate_channel(np.eye(2))
-    rep = ifc.region(ch, CFG)
+    rep = ifc.region(ch)
     assert len(rep.inequalities) == 3
     assert abs(rep.sum_rate_upper - 2.0) < 1e-9
     assert rep.consistent
@@ -378,7 +368,7 @@ def test_region_diagonal_two_user():
 
 def test_region_single_family():
     ch = ifc.validate_channel(np.eye(2))
-    rep = ifc.region(ch, CFG, families=(ifc.FAMILY_ETW,))
+    rep = ifc.region(ch, families=(ifc.FAMILY_ETW,))
     assert set(rep.per_family_sum_rate) == {"ETW"}
     assert all(iq.family == "ETW" for iq in rep.inequalities)
 
@@ -386,7 +376,7 @@ def test_region_single_family():
 def test_region_sum_rate_only_shape():
     rng = np.random.default_rng(29)
     ch = random_upper_triangular_channel(rng, 3)
-    rep = ifc.region(ch, FAST, sum_rate_only=True)
+    rep = ifc.region(ch, sum_rate_only=True)
     assert len(rep.inequalities) == 1
     assert rep.inequalities[0].subset == (1, 2, 3)
     assert rep.sum_rate_upper >= rep.lower_bounds["TIN"] - 1e-9
@@ -395,15 +385,15 @@ def test_region_sum_rate_only_shape():
 def test_region_deterministic():
     rng = np.random.default_rng(30)
     ch = random_upper_triangular_channel(rng, 2)
-    r1 = ifc.region(ch, CFG).to_json_dict()
-    r2 = ifc.region(ch, CFG).to_json_dict()
+    r1 = ifc.region(ch).to_json_dict()
+    r2 = ifc.region(ch).to_json_dict()
     assert r1 == r2
 
 
 def test_region_retains_minimum_across_families():
     rng = np.random.default_rng(31)
     ch = random_upper_triangular_channel(rng, 2)
-    rep = ifc.region(ch, CFG)
+    rep = ifc.region(ch)
     full = [iq for iq in rep.inequalities if iq.subset == (1, 2)][0]
     assert abs(min(rep.per_family_sum_rate.values()) - full.value_bits) < 1e-12
     assert full.value_bits == rep.sum_rate_upper
