@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -89,8 +90,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _parse_channel(doc) -> ChannelMatrix:
+    """parse_channel_spec, refusing a noise-correlation document."""
+    ch = parse_channel_spec(doc)
+    if not isinstance(ch, ChannelMatrix):
+        raise SchemaError("/H", "expected a channel document with 'H', not a noise correlation")
+    return ch
+
+
 def _load_channel(path: str) -> ChannelMatrix:
-    return parse_channel_spec(_load_json(path))
+    return _parse_channel(_load_json(path))
 
 
 def _pair(z: complex) -> List[float]:
@@ -161,42 +170,32 @@ def _cmd_certify(args: argparse.Namespace) -> Tuple[str, int]:
     return out, 0 if cert.status == CERTIFIED else 1
 
 
+def _pointer_key(node, tok: str, pointer: str):
+    """The list index or dict key that pointer token tok selects in node."""
+    if isinstance(node, list):
+        # RFC 6901: a non-negative decimal without leading zeros
+        if not re.fullmatch(r"0|[1-9][0-9]*", tok) or int(tok) >= len(node):
+            raise SchemaError(pointer, f"bad array index {tok!r}")
+        return int(tok)
+    if isinstance(node, dict):
+        if tok not in node:
+            raise SchemaError(pointer, f"missing key {tok!r}")
+        return tok
+    raise SchemaError(pointer, "pointer descends past a leaf")
+
+
 def _set_pointer(doc, pointer: str, value: float) -> None:
     if not pointer.startswith("/"):
         raise SchemaError(pointer, "parameter pointer must start with '/'")
     tokens = [t.replace("~1", "/").replace("~0", "~") for t in pointer.split("/")[1:]]
     node = doc
     for tok in tokens[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(tok)]
-            except (ValueError, IndexError):
-                raise SchemaError(pointer, f"bad array index {tok!r}")
-        elif isinstance(node, dict):
-            if tok not in node:
-                raise SchemaError(pointer, f"missing key {tok!r}")
-            node = node[tok]
-        else:
-            raise SchemaError(pointer, "pointer descends past a leaf")
-    last = tokens[-1]
-    if isinstance(node, list):
-        try:
-            idx = int(last)
-            prev = node[idx]
-        except (ValueError, IndexError):
-            raise SchemaError(pointer, f"bad array index {last!r}")
-        if isinstance(prev, bool) or not isinstance(prev, (int, float)):
-            raise SchemaError(pointer, "pointer must target a number leaf")
-        node[idx] = value
-    elif isinstance(node, dict):
-        if last not in node:
-            raise SchemaError(pointer, f"missing key {last!r}")
-        prev = node[last]
-        if isinstance(prev, bool) or not isinstance(prev, (int, float)):
-            raise SchemaError(pointer, "pointer must target a number leaf")
-        node[last] = value
-    else:
-        raise SchemaError(pointer, "pointer descends past a leaf")
+        node = node[_pointer_key(node, tok, pointer)]
+    key = _pointer_key(node, tokens[-1], pointer)
+    prev = node[key]
+    if isinstance(prev, bool) or not isinstance(prev, (int, float)):
+        raise SchemaError(pointer, "pointer must target a number leaf")
+    node[key] = value
 
 
 def _fmt(x: float) -> str:
@@ -219,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         doc = json.loads(json.dumps(template))
         for ptr in pointers:
             _set_pointer(doc, ptr, float(v))
-        ch = parse_channel_spec(doc)
+        ch = _parse_channel(doc)
         rep = region(ch, sum_rate_only=True)
         up_kra = rep.per_family_sum_rate[FAMILY_KRA]
         up_etw = rep.per_family_sum_rate[FAMILY_ETW]

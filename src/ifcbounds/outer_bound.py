@@ -16,10 +16,12 @@ S and an ordering pi of S:
 Every search over a single complex correlation -- each ETW summand and each
 KRA term on a pair of users -- is solved in closed form (``_pair_rho``).
 A KRA term on three or more users is convex in the noise correlation, and is
-minimized by BFGS with the analytic gradient over a factored correlation
-Sigma = U U^H whose rows of U are kept at unit length, which keeps it
-feasible by construction.  That BFGS solve is the module's only use of scipy,
-which is imported on its first call (``minimize``).  A key reduction used
+minimized by one BFGS start with the analytic gradient over a factored
+correlation Sigma = U U^H whose rows of U are kept at unit length, which keeps
+it feasible by construction.  That BFGS solve is the module's only use of
+scipy, which is imported on its first call (``minimize``).  Candidates are
+ranked by these fast forms; only the returned witness is re-scored through
+the reference route (``kra_term_value`` / ``etw_term_value``).  A key reduction used
 throughout: conditioning on the inputs outside S makes a term depend only on
 the |S| x |S| subchannel H[pi, pi] and the matching block of the noise
 correlation, so every search runs in the reduced space and the witness is
@@ -269,7 +271,7 @@ def _pair_rho(p: float, c: complex) -> complex:
     return complex(rho)
 
 
-#: smallest eigenvalues tried, in turn, for the witness from a solver end
+#: smallest eigenvalues of the witness candidates blended from the BFGS end
 #: point.  The minima of |S| >= 3 terms sit on the PSD boundary (smallest
 #: eigenvalue 1e-8 and below), where the reference re-score in kra_term_value
 #: trips its dual-route check; blending up to 1e-6 costs under 4e-7 bits and
@@ -350,40 +352,31 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
     Pairs (|S| = 2) are solved in closed form: the only free entry rho of
     Sigma enters as log2 det(Sigma + A_2) - log2 det(Sigma), which is the
     _pair_rho objective with p = (1 + A_00)(1 + A_11) and c = A_01.  For
-    |S| >= 3 the value is convex in Sigma (Diggavi & Cover 2001), and BFGS
-    runs over Sigma = U U^H, U = diag(1 / |v_i|) V with V a free complex
-    matrix, from the identity and from the recursion warm start when that is
-    PSD.  Each end point is blended toward the identity up to the first
-    EIG_FLOORS entry the reference re-score accepts.  The identity and the
-    warm start are candidates too, and every candidate is re-scored through
-    kra_term_value so the returned value sits on the same code path as any
-    caller comparison.
+    |S| >= 3 the value is convex in Sigma (Diggavi & Cover 2001), so one BFGS
+    start suffices: it runs over Sigma = U U^H, U = diag(1 / |v_i|) V with V a
+    free complex matrix, from the recursion warm start if that is PSD, else
+    from the identity, and its end point is blended toward the identity to
+    each EIG_FLOORS entry.  These, the identity, the pair coupling and the
+    PSD warm start are ranked by the telescoped value (stably, so the identity
+    wins ties), and the first the kra_term_value re-score accepts is returned.
     """
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
-    if s == 1:
-        noise = identity_noise(ch.K)
-        return kra_term_value(ch, noise, t), noise
-
     grams = _term_grams(Hr)
-    ident = np.eye(s, dtype=complex)
-    ladders: List[Iterable[np.ndarray]] = [[ident]]
+    candidates = [np.eye(s, dtype=complex)]
     if s == 2:
         tail = Hr[:, 1:]
         A = tail @ tail.conj().T
         rho = _pair_rho((1.0 + A[0, 0].real) * (1.0 + A[1, 1].real), complex(A[0, 1]))
-        ladders.append([np.array([[1.0, rho], [rho.conjugate(), 1.0]])])
-    else:
-        starts = [ident]
+        candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
+    elif s >= 3:
         warm = _warm_sigma_candidate(Hr)
         if warm is not None:
-            ladders.append([warm])
-            starts.append(warm)
-        for sig0 in starts:
-            end = _factored_min_sigma(sig0, grams)
-            ladders.append([_floor_eig(end, floor) for floor in EIG_FLOORS])
-    # min keeps the earliest candidate on ties, so the identity wins those
-    return min((_first_scored(ch, t, ladder) for ladder in ladders), key=lambda vw: vw[0])
+            candidates.append(warm)
+        end = _factored_min_sigma(candidates[-1], grams)  # the warm start if PSD
+        candidates += [_floor_eig(end, floor) for floor in EIG_FLOORS]
+    candidates.sort(key=lambda sig: _lean_kra_value(sig, grams))
+    return _first_scored(ch, t, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +440,18 @@ def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex,
     Up to the constant -log2(v_g), a summand is
     log2(v_y v_g - |c0 + rho|^2) - log2(1 - |rho|^2), and Cauchy-Schwarz gives
     v_y v_g >= (1 + |c0|)^2, so _pair_rho returns its exact minimizer.
-    rho = 0 is always scored as a candidate, making the classical uncorrelated
-    choice an exact upper bound on the result.
+    rho = 0 competes with those minimizers on the closed-form summand sum and
+    wins ties; only the winner is re-scored through etw_term_value.
     """
-    best_rhos = []
-    for k, m in zip(t.subset, t.perm):
-        vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
-        best_rhos.append(_pair_rho(vy * vg, c0))
+    data = [_etw_summand_data(ch.entries, k, m) for k, m in zip(t.subset, t.perm)]
 
-    zeros = tuple(0.0 + 0.0j for _ in range(t.size))
-    v_zero = etw_term_value(ch, t, zeros)
-    v_best = etw_term_value(ch, t, tuple(best_rhos))
-    if v_zero <= v_best:
-        return v_zero, zeros
-    return v_best, tuple(best_rhos)
+    def closed(rhos):
+        return sum(_etw_summand(r, *d) for r, d in zip(rhos, data))
+
+    zeros = tuple(0j for _ in data)
+    best = tuple(_pair_rho(vy * vg, c0) for vy, vg, c0 in data)
+    rhos = zeros if closed(zeros) <= closed(best) else best
+    return etw_term_value(ch, t, rhos), rhos
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,12 @@ the literal cannot recur unnoticed.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 import ifcbounds as ifc
 from ifcbounds.cli import main
-from ifcbounds.errors import BudgetExhaustedWarning
 
 from support import (
     random_gains,
@@ -136,15 +134,13 @@ def test_criterion_4_optimizer_vs_grid():
     rng = np.random.default_rng(2004)
     worst = 0.0
     cases = [(2, 200)] * 20 + [(3, 24)] * 5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BudgetExhaustedWarning)
-        for K, res in cases:
-            ch = random_upper_triangular_channel(rng, K)
-            t = _full_term(K)
-            oval, _ = ifc.kra_term_min(ch, t)
-            gval, _ = ifc.grid_min_sigma(ch, t, resolution=res)
-            worst = max(worst, abs(oval - gval))
-            GUARD.append(("c4", oval, ifc.tin_sum_rate(ch)))
+    for K, res in cases:
+        ch = random_upper_triangular_channel(rng, K)
+        t = _full_term(K)
+        oval, _ = ifc.kra_term_min(ch, t)
+        gval, _ = ifc.grid_min_sigma(ch, t, resolution=res)
+        worst = max(worst, abs(oval - gval))
+        GUARD.append(("c4", oval, ifc.tin_sum_rate(ch)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-4 and elapsed < 300.0
     _verdict(4, "optimizer vs dense grid", ok,

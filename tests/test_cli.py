@@ -234,3 +234,27 @@ def test_solver_settings_are_not_options(capsys, weak2, command, flag):
     code, out, err = run(capsys, argv + [flag, "1"])
     assert code == 2
     assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "certify", "verify", "sweep"])
+def test_noise_correlation_document_is_not_a_channel(capsys, tmp_path, command):
+    p = tmp_path / "sigma.json"
+    p.write_text(json.dumps({"K": 2, "Sigma": [[1.0, 0.3], [0.3, 1.0]]}))
+    argv = [command, str(p)]
+    if command == "sweep":  # the swept document stays Hermitian
+        argv += ["--param", "/Sigma/0/1,/Sigma/1/0", "--start", "0", "--stop", "0.5",
+                 "--steps", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: /H:")
+
+
+@pytest.mark.parametrize("param", ["/H/0/-1", "/H/-1/0", "/H/0/01", "/H/0/+1", "/H/0/"])
+def test_sweep_rejects_non_rfc6901_array_index(capsys, tmp_path, param):
+    tmpl = spec_file(tmp_path, "tmpl3.json", [[1.0, 0.0], [0.0, 1.0]])
+    code, out, err = run(capsys, ["sweep", tmpl, "--param", param,
+                                  "--start", "0", "--stop", "1", "--steps", "2"])
+    assert code == 2
+    assert out == ""
+    assert "bad array index" in err

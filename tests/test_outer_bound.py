@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import ifcbounds as ifc
 from ifcbounds import outer_bound
-from ifcbounds.errors import TooLarge, ValidationError
+from ifcbounds.errors import InternalConsistencyError, TooLarge, ValidationError
 from ifcbounds.gaussian_info import RHO_CAP
 from ifcbounds.oracle import CorrelationAngles
 from ifcbounds.outer_bound import (
@@ -348,9 +348,60 @@ def test_pair_searches_make_no_optimizer_call(monkeypatch):
         ifc.etw_term_min(ch, t)
         if t.size <= 2:
             ifc.kra_term_min(ch, t)
-    # the patch is live: a three-user KRA term still runs the multistart
+    # the patch is live: a three-user KRA term still runs the BFGS solve
     with pytest.raises(AssertionError, match="minimize called"):
         ifc.kra_term_min(ch, ifc.BoundTerm((1, 2, 3), (1, 2, 3)))
+
+
+def test_each_term_is_rescored_once(monkeypatch):
+    calls = {"kra": 0, "etw": 0}
+
+    def counting(family, reference):
+        def wrapped(*args):
+            calls[family] += 1
+            return reference(*args)
+        return wrapped
+
+    monkeypatch.setattr(outer_bound, "kra_term_value", counting("kra", outer_bound.kra_term_value))
+    monkeypatch.setattr(outer_bound, "etw_term_value", counting("etw", outer_bound.etw_term_value))
+    ch = random_channel(np.random.default_rng(45), 4)
+    for t in ifc.enumerate_terms(4):
+        before = dict(calls)
+        ifc.kra_term_min(ch, t)
+        ifc.etw_term_min(ch, t)
+        assert (calls["kra"] - before["kra"], calls["etw"] - before["etw"]) == (1, 1), t
+
+
+def test_rejected_top_candidate_falls_through(monkeypatch):
+    ch = random_channel(np.random.default_rng(46), 3)
+    t = ifc.BoundTerm((1, 2, 3), (2, 3, 1))
+    reference = outer_bound.kra_term_value
+    best, _ = ifc.kra_term_min(ch, t)
+    scored = []
+
+    def reject_first(ch_, noise, t_):
+        scored.append(noise)
+        if len(scored) == 1:
+            raise InternalConsistencyError("doctored dual-route disagreement")
+        return reference(ch_, noise, t_)
+
+    monkeypatch.setattr(outer_bound, "kra_term_value", reject_first)
+    val, wit = ifc.kra_term_min(ch, t)
+    assert len(scored) == 2 and wit is scored[1]
+    assert reference(ch, scored[0], t) == best  # the rejected one was the top-ranked
+    assert val == reference(ch, scored[1], t)
+    assert val >= best - 1e-12
+
+
+def test_etw_zero_rho_guard_beats_a_poor_pair_rho(monkeypatch):
+    # anti-aligned with the signal cross term, 0.9 costs more than it saves
+    monkeypatch.setattr(outer_bound, "_pair_rho", lambda p, c: -0.9 * c / abs(c) if c else 0.9j)
+    ch = random_channel(np.random.default_rng(47), 3)
+    for t in ifc.enumerate_terms(3):
+        zeros = (0j,) * t.size
+        val, rhos = ifc.etw_term_min(ch, t)
+        assert rhos == zeros
+        assert val == ifc.etw_term_value(ch, t, zeros)
 
 
 # ---------------------------------------------------------------------------
