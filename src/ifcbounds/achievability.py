@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,29 +68,21 @@ class MacCheckResult:
     feasible: bool
     violations: tuple  # (receiver k, subset, lhs bits, rhs bits), 1-based
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.feasible
 
-
-def mac_feasibility(ch: ChannelMatrix, rates: Optional[Sequence[float]] = None) -> MacCheckResult:
+def mac_feasibility(ch: ChannelMatrix) -> MacCheckResult:
     """Check that every receiver k can jointly decode (its own message and)
-    each subset of earlier users at the given rates.
+    each subset of earlier users at the rates r = succ_dec_rates(ch).
 
     For each k and each S_k subseteq {1..k-1}:
 
         r_k + sum_{j in S_k} r_j <= log2(1 + (|h_kk|^2 + sum_{j in S_k} |h_kj|^2)
                                               / (1 + sum_{i>k} |h_ki|^2))
-
-    ``rates`` defaults to succ_dec_rates(ch); passing an explicit vector is an
-    internal testing hook.
     """
     K = ch.K
     if K > MAC_MAX_K:
         raise TooLarge(f"mac_feasibility enumerates 2^(K-1) subsets; K={K} > {MAC_MAX_K}")
     H = ch.entries
-    r = np.asarray(rates, dtype=float) if rates is not None else succ_dec_rates(ch)
-    if r.shape != (K,):
-        raise ValueError(f"rates must have length {K}")
+    r = succ_dec_rates(ch)
 
     violations = []
     for k in range(K):

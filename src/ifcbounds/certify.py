@@ -33,7 +33,6 @@ from .achievability import (
     degraded_sum_capacity,
     mac_feasibility,
     tin_sum_rate,
-    tin_sum_rate_general,
 )
 from .errors import InternalConsistencyError, NotPSD, SingularCovariance, TooLarge
 from .gaussian_info import (

@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments, loads JSON files and routes
+each subcommand to the library, whose own checks (family names, size caps,
+document schema) decide what is valid.
 
 Subcommands: evaluate, construct, certify, sweep, verify, count-bounds.
 All output goes to stdout in a single write (JSON reports, CSV sweeps);
 errors go to stderr.  Exit codes: 0 success / certified, 1 not certified or
-oracle mismatch, 2 parse or validation failure, 3 problem too large,
-4 internal inconsistency.
+oracle mismatch, 2 invalid input (bad arguments, undecodable or invalid JSON,
+an unreadable file), 3 problem too large, 4 internal inconsistency or any
+unexpected error, which also prints its traceback.
 
 Two flags have environment-variable fallbacks: ``--families`` falls back to
 ``IFC_FAMILIES`` and ``verify --seed`` to ``IFC_SEED``; an explicit flag always
@@ -15,27 +18,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+import traceback
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .achievability import tin_sum_rate
 from .certify import CERTIFIED, certify_sum_capacity
 from .construct import build_z_channel, many_to_one, rank_one_channel
-from .errors import (
-    ComputationError,
-    InternalConsistencyError,
-    SchemaError,
-    TooLarge,
-    ValidationError,
-)
+from .errors import IfcError, InternalConsistencyError, SchemaError, TooLarge
 from .gaussian_info import build_joint, conditional_mi
 from .model import (
     SCHEMA_VERSION,
     ChannelMatrix,
+    _decode_json,
+    _to_pairs,
     _want_matrix,
     _want_number,
     _want_vector,
@@ -45,15 +45,23 @@ from .model import (
 )
 from .oracle import mc_mutual_information
 from .outer_bound import (
+    FAMILIES,
     FAMILY_ETW,
     FAMILY_KRA,
+    FULL_REGION_MAX_K,
     count_bounds,
     region,
 )
 
-FULL_REGION_MAX_K = 6
-
 GAP_SNAP = 1e-12
+
+#: exit code of a failure, looked up along its class's MRO so the most
+#: specific entry wins; a failure matching no entry exits 4 with a traceback
+EXIT_CODES = {TooLarge: 3, InternalConsistencyError: 4, IfcError: 2, OSError: 2}
+
+#: CPython's default limit on the digits of a printed int, used where the
+#: interpreter predates sys.get_int_max_str_digits or has the limit switched off
+DEFAULT_MAX_STR_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------
@@ -69,25 +77,9 @@ def _env_int(name: str, fallback: int) -> int:
         raise SchemaError("/" + name, f"environment override {name}={raw!r} is not an integer")
 
 
-def _resolve_families(raw: Optional[str]) -> Tuple[str, ...]:
-    if raw is None:
-        raw = os.environ.get("IFC_FAMILIES", "kra,etw")
-    names = [p.strip().lower() for p in raw.split(",") if p.strip()]
-    table = {"kra": FAMILY_KRA, "etw": FAMILY_ETW}
-    fams = []
-    for n in names:
-        if n not in table:
-            raise SchemaError("/families", f"unknown family {n!r} (expected kra, etw)")
-        if table[n] not in fams:
-            fams.append(table[n])
-    if not fams:
-        raise SchemaError("/families", "at least one family required")
-    return tuple(fams)
-
-
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return _decode_json(fh.read())
 
 
 def _parse_channel(doc) -> ChannelMatrix:
@@ -102,21 +94,15 @@ def _load_channel(path: str) -> ChannelMatrix:
     return _parse_channel(_load_json(path))
 
 
-def _pair(z: complex) -> List[float]:
-    return [float(z.real), float(z.imag)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_evaluate(args: argparse.Namespace) -> Tuple[str, int]:
     ch = _load_channel(args.channel)
-    fams = _resolve_families(args.families)
-    if not args.sum_rate_only and ch.K > FULL_REGION_MAX_K:
-        raise TooLarge(
-            f"full-region evaluation supports K <= {FULL_REGION_MAX_K}; "
-            "pass --sum-rate-only for larger channels")
-    rep = region(ch, families=fams, sum_rate_only=args.sum_rate_only)
+    families = args.families
+    if families is None:
+        families = os.environ.get("IFC_FAMILIES", FAMILIES)
+    rep = region(ch, families=families, sum_rate_only=args.sum_rate_only)
     out = json.dumps(rep.to_json_dict(), indent=2) + "\n"
     return out, 0 if rep.consistent else 4
 
@@ -134,7 +120,7 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
         ch = build_z_channel(sigma, gains)
         prov = {
             "mode": "z",
-            "sigma": [[_pair(complex(v)) for v in row] for row in sigma.sigma],
+            "sigma": _to_pairs(sigma.sigma),
             "diag_gains": [float(g) for g in gains],
         }
     elif args.mode == "many-to-one":
@@ -146,7 +132,7 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
         ch = many_to_one(v, gains)
         prov = {
             "mode": "many-to-one",
-            "v": [_pair(complex(x)) for x in v],
+            "v": _to_pairs(v),
             "diag_gains": [float(g) for g in gains],
         }
     else:  # rank-one
@@ -155,8 +141,8 @@ def _cmd_construct(args: argparse.Namespace) -> Tuple[str, int]:
         ch = rank_one_channel(a, b)
         prov = {
             "mode": "rank-one",
-            "a": [_pair(complex(x)) for x in a],
-            "b": [_pair(complex(x)) for x in b],
+            "a": _to_pairs(a),
+            "b": _to_pairs(b),
         }
     doc = ch.to_spec_dict()
     doc["provenance"] = prov
@@ -261,7 +247,14 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def _cmd_count_bounds(args: argparse.Namespace) -> Tuple[str, int]:
-    lines = [f"N({k})={count_bounds(k)}" for k in args.K]
+    limit = getattr(sys, "get_int_max_str_digits", int)() or DEFAULT_MAX_STR_DIGITS
+    lines = []
+    for k in args.K:
+        # N(K) = floor(e K!) - 1 has floor(log10(e K!)) + 1 digits
+        if k >= 1 and (math.lgamma(k + 1) + 1.0) / math.log(10.0) >= limit:
+            raise TooLarge(f"N({k}) has more than {limit} decimal digits, "
+                           "past Python's integer printing limit")
+        lines.append(f"N({k})={count_bounds(k)}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -277,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate the outer bound for a channel spec")
     p_eval.add_argument("channel", help="path to a channel spec JSON file")
     p_eval.add_argument("--families", default=None,
-                        help="comma-separated bound families (kra, etw)")
+                        help="comma-separated bound families (kra, etw; any case); "
+                             "falls back to IFC_FAMILIES")
     p_eval.add_argument("--sum-rate-only", action="store_true",
                         help="bound only the sum rate (required for K > "
                              f"{FULL_REGION_MAX_K})")
@@ -322,24 +316,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         out, code = args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, ValidationError) as exc:
+    except Exception as exc:
+        code = next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), None)
+        if code is None:
+            traceback.print_exc()
+            return 4
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
     sys.stdout.write(out)
     return code
 

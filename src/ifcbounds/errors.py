@@ -73,12 +73,13 @@ class BetaInvalid(ValidationError):
 class SchemaError(ValidationError):
     """A JSON document failed schema validation.
 
-    ``pointer`` holds a JSON-pointer to the offending location.
+    ``pointer`` holds a JSON-pointer to the offending location; the empty
+    pointer (the whole document) is left out of the message.
     """
 
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
 
 
 class TooLarge(IfcError):

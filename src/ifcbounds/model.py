@@ -69,7 +69,7 @@ class ChannelMatrix:
         return {
             "schema_version": SCHEMA_VERSION,
             "K": self.K,
-            "H": _matrix_to_pairs(self.entries),
+            "H": _to_pairs(self.entries),
         }
 
 
@@ -93,7 +93,7 @@ class NoiseCorrelation:
         return {
             "schema_version": SCHEMA_VERSION,
             "K": self.K,
-            "Sigma": _matrix_to_pairs(self.sigma),
+            "Sigma": _to_pairs(self.sigma),
         }
 
 
@@ -217,9 +217,9 @@ class RateInequality:
     def to_json_dict(self) -> dict:
         w: dict = {"perm": list(self.witness["perm"])}
         if "sigma" in self.witness:
-            w["sigma"] = _matrix_to_pairs(self.witness["sigma"])
+            w["sigma"] = _to_pairs(self.witness["sigma"])
         if "rhos" in self.witness:
-            w["rhos"] = [[z.real, z.imag] for z in self.witness["rhos"]]
+            w["rhos"] = _to_pairs(self.witness["rhos"])
         return {
             "subset": list(self.subset),
             "family": self.family,
@@ -298,8 +298,11 @@ class Certificate:
 # JSON serialization: complex numbers travel as [re, im] pairs so that
 # serialize -> parse round trips are bit exact.
 
-def _matrix_to_pairs(arr: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+def _to_pairs(values: Any) -> list:
+    """Complex scalars as [re, im] lists, nested as in values (a matrix, a
+    vector or a tuple of correlations)."""
+    arr = np.asarray(values, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def serialize_channel(ch: ChannelMatrix) -> str:
@@ -308,6 +311,16 @@ def serialize_channel(ch: ChannelMatrix) -> str:
 
 def serialize_noise(nc: NoiseCorrelation) -> str:
     return json.dumps(nc.to_spec_dict(), indent=2) + "\n"
+
+
+def _decode_json(text: Union[str, bytes]) -> Any:
+    """The JSON document in text (bytes must be UTF-8).  Every way decoding
+    fails is a SchemaError: bad syntax or UTF-8, an integer past Python's
+    digit limit, or nesting too deep for the decoder."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
 def _want_number(node: Any, ptr: str) -> float:
@@ -354,10 +367,7 @@ def parse_channel_spec(doc: Union[str, bytes, Mapping]) -> Union[ChannelMatrix, 
     to the offending location.
     """
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
+        doc = _decode_json(doc)
     if not isinstance(doc, dict):
         raise SchemaError("", "top-level value must be an object")
     if "schema_version" in doc:

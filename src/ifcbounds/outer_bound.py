@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +68,9 @@ FAMILIES = (FAMILY_KRA, FAMILY_ETW)
 #: full (subset, permutation) enumeration is capped here; the count grows
 #: like floor(e * K!) - 1
 ENUM_MAX_K = 8
+
+#: region() evaluates every subset only up to this K; beyond it, sum rate only
+FULL_REGION_MAX_K = 6
 
 _LN2 = float(np.log(2.0))
 
@@ -457,22 +460,30 @@ def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex,
 # ---------------------------------------------------------------------------
 # region assembly
 
-def region(ch: ChannelMatrix, *, families: Sequence[str] = FAMILIES,
+def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
            sum_rate_only: bool = False) -> BoundReport:
     """Evaluate the bound region: one retained inequality per subset.
 
-    For each subset the value is minimized over orderings and requested
-    families; the winning family and its witness are recorded.  In
-    sum-rate-only mode only S = all users is evaluated (all orderings up to
-    K = 8, natural order beyond that).
+    ``families`` holds family names, or is one comma-separated string of
+    them; names are stripped, case-blind, and blanks and repeats are skipped.
+    An unknown name or an empty list raises ValidationError.  For each subset
+    the value is minimized over orderings and the requested families; the
+    winning family and its witness are recorded.  A full region above
+    K = FULL_REGION_MAX_K raises TooLarge.  In sum-rate-only mode only
+    S = all users is evaluated (all orderings up to K = 8, natural order
+    beyond that).
     """
-    fams = tuple(dict.fromkeys(f.upper() for f in families))
+    names = families.split(",") if isinstance(families, str) else families
+    fams = tuple(dict.fromkeys(n.strip().upper() for n in names if n.strip()))
     for f in fams:
         if f not in FAMILIES:
-            raise ValidationError(f"unknown bound family {f!r}")
+            raise ValidationError(f"unknown bound family {f.lower()!r} (expected kra, etw)")
     if not fams:
         raise ValidationError("at least one bound family is required")
     K = ch.K
+    if not sum_rate_only and K > FULL_REGION_MAX_K:
+        raise TooLarge(f"full-region evaluation supports K <= {FULL_REGION_MAX_K}, got K={K}; "
+                       "use sum-rate-only mode (--sum-rate-only) for larger channels")
 
     if sum_rate_only:
         full = tuple(range(1, K + 1))

@@ -66,12 +66,6 @@ def test_mac_rank_one_worked_example():
     assert res.feasible and res.violations == ()
 
 
-def test_mac_rejects_bad_rate_vector_shape():
-    ch = ifc.validate_channel(np.eye(2))
-    with pytest.raises(ValueError):
-        ifc.mac_feasibility(ch, rates=[1.0])
-
-
 def test_bc_single_user():
     v = ifc.bc_bound([1.0], [2.0], [1.0])
     assert abs(v[0] - np.log2(1 + 4.0)) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -258,3 +259,78 @@ def test_sweep_rejects_non_rfc6901_array_index(capsys, tmp_path, param):
     assert code == 2
     assert out == ""
     assert "bad array index" in err
+
+
+UNDECODABLE = {
+    "non_utf8": b"\xff",
+    "deep_nesting": b"[" * 100_000,
+    "huge_integer": b'{"K": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "certify", "verify", "construct", "sweep"])
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_undecodable_json_exits_two(capsys, tmp_path, command, kind):
+    p = tmp_path / "in.json"
+    p.write_bytes(UNDECODABLE[kind])
+    argv = {
+        "construct": ["construct", "z", str(p)],
+        "sweep": ["sweep", str(p), "--param", "/H/0/1", "--start", "0", "--stop", "1",
+                  "--steps", "2"],
+    }.get(command, [command, str(p)])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid JSON" in err
+
+
+def test_unexpected_error_exits_four_with_traceback(capsys, z2, monkeypatch):
+    def broken(ch):
+        raise KeyError("boom")
+    monkeypatch.setattr("ifcbounds.cli.certify_sum_capacity", broken)
+    code, out, err = run(capsys, ["certify", z2])
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'boom'" in err
+
+
+def test_family_list_is_stripped_deduplicated_and_case_blind(capsys, weak2):
+    code, out, _ = run(capsys, ["evaluate", weak2, "--families", " ETW, ,etw"])
+    assert code == 0
+    assert json.loads(out)["config"]["families"] == ["ETW"]
+
+
+@pytest.mark.parametrize("families", ["", "bogus"])
+def test_bad_family_list_exits_two(capsys, weak2, families):
+    code, out, err = run(capsys, ["evaluate", weak2, "--families", families])
+    assert code == 2
+    assert out == ""
+    assert "famil" in err
+
+
+def test_family_environment_fallback(capsys, weak2, monkeypatch):
+    monkeypatch.setenv("IFC_FAMILIES", "etw")
+    code, out, _ = run(capsys, ["evaluate", weak2])
+    assert code == 0
+    assert json.loads(out)["config"]["families"] == ["ETW"]
+    _, out, _ = run(capsys, ["evaluate", weak2, "--families", "kra"])
+    assert json.loads(out)["config"]["families"] == ["KRA"]
+
+
+def test_count_bounds_prints_up_to_the_digit_limit(capsys):
+    code, out, _ = run(capsys, ["count-bounds", "1558"])
+    assert code == 0
+    assert len(out.strip().split("=")[1]) == 4300
+
+
+def test_count_bounds_past_the_digit_limit_exits_three(capsys):
+    code, out, err = run(capsys, ["count-bounds", "2", "1559"])
+    assert code == 3
+    assert out == "" and "N(1559)" in err
+
+
+def test_count_bounds_cap_is_checked_before_counting(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["count-bounds", "1000000"])
+    assert code == 3 and out == ""
+    assert time.perf_counter() - t0 < 1.0

@@ -151,6 +151,13 @@ def test_parse_rejects_future_schema():
         ifc.parse_channel_spec('{"schema_version": 2, "K": 1, "H": [[1]]}')
 
 
+@pytest.mark.parametrize("text", [b"\xff", "[" * 100_000, '{"K": ' + "9" * 5000 + "}",
+                                  b'{"K": 1, "H": [[1]]'])
+def test_parse_undecodable_text_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        ifc.parse_channel_spec(text)
+
+
 def test_parse_ignores_extra_keys():
     ch = ifc.parse_channel_spec('{"K": 1, "H": [[1]], "provenance": {"mode": "z"}}')
     assert ch.K == 1

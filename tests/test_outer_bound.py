@@ -424,6 +424,22 @@ def test_region_single_family():
     assert all(iq.family == "ETW" for iq in rep.inequalities)
 
 
+def test_region_family_names_are_parsed_once():
+    ch = ifc.validate_channel(np.eye(2))
+    rep = ifc.region(ch, families=" ETW, ,etw")
+    assert rep.config["families"] == ["ETW"]
+    assert ifc.region(ch, families=["kra", " Etw "]).config["families"] == ["KRA", "ETW"]
+    for bad in ("", " , ", "bogus", ()):
+        with pytest.raises(ValidationError):
+            ifc.region(ch, families=bad)
+
+
+def test_region_full_mode_is_capped_at_k6():
+    ch = ifc.validate_channel(np.eye(outer_bound.FULL_REGION_MAX_K + 1))
+    with pytest.raises(TooLarge, match="sum-rate-only mode"):
+        ifc.region(ch)
+
+
 def test_region_sum_rate_only_shape():
     rng = np.random.default_rng(29)
     ch = random_upper_triangular_channel(rng, 3)
