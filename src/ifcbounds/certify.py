@@ -6,19 +6,21 @@ reproducible and the cheap analytic routes win over the numeric one:
 
 1. Z_THEOREM2 — the gain matrix is strictly upper triangular and inverting
    the coupling recursion on its upper entries yields a feasible noise
-   correlation under which earlier outputs are degraded versions of later
-   ones; the correlated-noise bound then collapses onto the
-   interference-as-noise ladder, which is achievable.
+   correlation, under which earlier outputs are degraded versions of later
+   ones by construction (so this is not checked separately); the
+   correlated-noise bound then collapses onto the interference-as-noise
+   ladder, which is achievable.
 2. DEGRADED — the gain matrix is numerically unit-rank; the pooled-transmitter
    (broadcast) bound meets the successive-decoding ladder.
-3. MAC_THEOREM3 — the recursion inversion and degradedness still hold (lower
-   triangle nonzero is allowed) and the ladder rates survive every
-   per-receiver joint-decoding check, making them achievable.
+3. MAC_THEOREM3 — the recursion inversion is feasible (so degradedness again
+   follows; a nonzero lower triangle is allowed) and the ladder rates survive
+   every per-receiver joint-decoding check, making them achievable.
 4. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
    agree within tolerance.
 
 Every issued certificate is re-verified through independent recomputations of
-both sides before it is returned.
+both sides before it is returned.  ``degradedness_witness`` is a diagnostic
+that ``build_z_channel`` runs on what it builds; no route calls it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .achievability import (
     mac_feasibility,
     tin_sum_rate,
 )
-from .errors import InternalConsistencyError, NotPSD, SingularCovariance, TooLarge
+from .errors import InternalConsistencyError, SingularCovariance, TooLarge
 from .gaussian_info import (
     LOG2PIE,
     build_joint,
@@ -52,14 +54,16 @@ from .model import (
     Certificate,
     ChannelMatrix,
     NoiseCorrelation,
+    RateInequality,
     identity_noise,
     validate_channel,
     validate_noise_correlation,
 )
 from .outer_bound import (
     BoundTerm,
+    _etw_summand,
+    _etw_summand_data,
     _warm_sigma_candidate,
-    etw_term_value,
     kra_term_value,
     region,
 )
@@ -134,12 +138,7 @@ def recover_noise_correlation(ch: ChannelMatrix) -> Optional[NoiseCorrelation]:
     are ignored by construction.
     """
     sigma = _warm_sigma_candidate(ch.entries)
-    if sigma is None:
-        return None
-    try:
-        return validate_noise_correlation(sigma)
-    except NotPSD:
-        return None
+    return None if sigma is None else validate_noise_correlation(sigma)
 
 
 def _rank_one_factors(H: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -182,6 +181,20 @@ def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation) -> float:
     return total - ch.K * LOG2PIE - float(logdet) / float(np.log(2.0))
 
 
+def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
+    """The winning full-set inequality of a sum-rate-only region, re-scored at
+    its witness by a route other than the one ``region`` reported: the chain
+    of output entropies on the channel and coupling relabeled in the
+    witness's order (KRA), or the closed-form summands (ETW)."""
+    perm = ineq.witness["perm"]
+    if ineq.family == "KRA":
+        idx = np.ix_([p - 1 for p in perm], [p - 1 for p in perm])
+        return _term_by_entropies(validate_channel(ch.entries[idx]),
+                                  validate_noise_correlation(ineq.witness["sigma"][idx]))
+    return sum(_etw_summand(r, *_etw_summand_data(ch.entries, k, m))
+               for k, m, r in zip(ineq.subset, perm, ineq.witness["rhos"]))
+
+
 def _recheck(upper: float, upper2: float, lower: float, lower2: float) -> None:
     if abs(upper - upper2) > 1e-8 or abs(lower - lower2) > 1e-8:
         raise InternalConsistencyError(
@@ -202,13 +215,20 @@ def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: st
     miss in ``details`` and returns None.
     """
     full = tuple(range(1, ch.K + 1))
-    upper = kra_term_value(ch, recovered, BoundTerm(full, full))
     lower = tin_sum_rate(ch)
-    gap = upper - lower
-    if abs(gap) > CERT_TOL:
-        details.append(f"{missed} by {gap:.3e} bits")
+    try:
+        upper = kra_term_value(ch, recovered, BoundTerm(full, full))
+        gap = upper - lower
+        if abs(gap) > CERT_TOL:
+            details.append(f"{missed} by {gap:.3e} bits")
+            return None
+        upper2 = _term_by_entropies(ch, recovered)
+    except SingularCovariance:
+        # a gain matrix of deficient rank can recover a coupling on the cone
+        # boundary; the joint law degenerates and this route cannot speak
+        details.append("bound at the recovered coupling is degenerate, route skipped")
         return None
-    _recheck(upper, _term_by_entropies(ch, recovered), lower, _ladder_by_information(ch))
+    _recheck(upper, upper2, lower, _ladder_by_information(ch))
     details.append(f"ladder value {_fmt(lower)} bits {met} (gap {gap:.3e})")
     return Certificate(CERTIFIED, path, gap, upper, lower, tuple(details))
 
@@ -228,28 +248,13 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
     recovered = recover_noise_correlation(ch)
     details.append("noise-coupling recovery from upper triangle: "
                    + ("feasible" if recovered is not None else "not PSD"))
-    witness = None
-    if recovered is not None:
-        try:
-            witness = degradedness_witness(ch, recovered)
-        except SingularCovariance:
-            # a gain matrix of deficient rank recovers a coupling on the cone
-            # boundary; the joint law degenerates and this route cannot speak
-            details.append("degradedness witness: degenerate joint law, route skipped")
-        else:
-            details.append(f"degradedness witness: max residual {witness.max_residual():.3e}"
-                           f" ({'pass' if witness.passed else 'fail'})")
 
-    if strictly_upper and recovered is not None and witness is not None and witness.passed:
-        try:
-            cert = _ladder_certificate(ch, recovered, PATH_Z, details,
-                                       "met by bound at the recovered coupling",
-                                       "recovered-coupling bound missed the ladder")
-        except SingularCovariance:
-            details.append("bound at the recovered coupling is degenerate, route skipped")
-        else:
-            if cert is not None:
-                return cert
+    if strictly_upper and recovered is not None:
+        cert = _ladder_certificate(ch, recovered, PATH_Z, details,
+                                   "met by bound at the recovered coupling",
+                                   "recovered-coupling bound missed the ladder")
+        if cert is not None:
+            return cert
 
     factors = _rank_one_factors(H)
     details.append(f"unit-rank gain matrix: {'yes' if factors is not None else 'no'}")
@@ -269,7 +274,7 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
             return Certificate(CERTIFIED, PATH_DEGRADED, gap, upper, lower, tuple(details))
         details.append(f"pooled-transmitter bound missed the ladder by {gap:.3e} bits")
 
-    if recovered is not None and witness is not None and witness.passed:
+    if recovered is not None:
         try:
             mac = mac_feasibility(ch)
         except TooLarge:
@@ -297,14 +302,7 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
             lower2 = _ladder_by_information(ch)
         else:
             lower2 = _tin_by_information(ch)
-        ineq = rep.inequalities[-1]
-        t = BoundTerm(ineq.subset, tuple(ineq.witness["perm"]))
-        if ineq.family == "KRA":
-            sigma = validate_noise_correlation(ineq.witness["sigma"])
-            upper2 = kra_term_value(ch, sigma, t)
-        else:
-            upper2 = etw_term_value(ch, t, ineq.witness["rhos"])
-        _recheck(upper, upper2, lower, lower2)
+        _recheck(upper, _sum_rate_by_second_route(ch, rep.inequalities[-1]), lower, lower2)
         return Certificate(CERTIFIED, PATH_NUMERIC, gap, upper, lower,
                            tuple(details), warnings=rep.warnings)
     return Certificate(BOUND_ONLY, None, gap, upper, lower,

@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 
 import ifcbounds as ifc
+import ifcbounds.certify as certify
 from ifcbounds.certify import (
     BOUND_ONLY,
     CERTIFIED,
     PATH_DEGRADED,
     PATH_MAC,
+    PATH_NUMERIC,
     PATH_Z,
 )
 
@@ -86,10 +89,91 @@ def test_witness_and_recovery_consistency():
 
 def test_rank_deficient_symmetric_pair_certifies_degraded():
     # all-ones gains are unit rank AND recover a fully correlated coupling;
-    # the degenerate witness must not abort the run before the pooled route
+    # the degenerate joint law must not abort the run before the pooled route
     ch = ifc.validate_channel(np.array([[1.0, 1.0], [1.0, 1.0]]))
     cert = ifc.certify_sum_capacity(ch)
     assert cert.status == ifc.CERTIFIED
     assert cert.path == ifc.PATH_DEGRADED
     assert abs(cert.upper_bits - np.log2(3)) < 1e-12
-    assert any("degenerate" in d for d in cert.details)
+
+
+def _close_rank_one(rng, K, spacing):
+    """Unit-rank channel whose receiver gains |a_k| are `spacing` apart."""
+    t = rng.uniform(0.3, 2.3) + spacing * np.arange(K)
+    b = (0.3 + rng.random(K)) * np.exp(2j * np.pi * rng.random(K))
+    return ifc.rank_one_channel(t * b / np.abs(b), b)
+
+
+def test_near_equal_rank_one_gains_certify_degraded():
+    # near-equal receiver gains put round-off at the size of the residuals a
+    # degradedness check would read; certify must reach the pooled route
+    ch = ifc.rank_one_channel([1.0, 1.0 + 1e-8, 1.0 + 2e-8], [1.0, 0.8, 0.6])
+    cert = ifc.certify_sum_capacity(ch)
+    assert (cert.status, cert.path) == (CERTIFIED, PATH_DEGRADED)
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        cert = ifc.certify_sum_capacity(_close_rank_one(rng, 5, 1e-8))
+        assert (cert.status, cert.path) == (CERTIFIED, PATH_DEGRADED)
+        assert abs(cert.gap_bits) <= 1e-9
+
+
+def test_verdicts_do_not_depend_on_the_degradedness_witness(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify must not call the degradedness witness")
+
+    monkeypatch.setattr(certify, "degradedness_witness", refuse)
+    z, _ = random_z_channel(np.random.default_rng(50), 3)
+    rank_one, _, _ = random_rank_one(np.random.default_rng(51), 4)
+    cases = [
+        (z, CERTIFIED, PATH_Z),
+        (rank_one, CERTIFIED, PATH_DEGRADED),
+        (ifc.validate_channel(np.array([[1.0, 1.0], [1.0, 1.0]])), CERTIFIED, PATH_DEGRADED),
+        (ifc.validate_channel(np.array([[1.0, 0.5], [2.5, 2.0]])), CERTIFIED, PATH_MAC),
+        (ifc.validate_channel(np.array([[1.0, 0.5], [0.5, 1.0]])), BOUND_ONLY, None),
+    ]
+    for ch, status, path in cases:
+        cert = ifc.certify_sum_capacity(ch)
+        assert (cert.status, cert.path) == (status, path)
+
+
+def test_degenerate_recovered_coupling_skips_the_ladder_routes():
+    # fully correlated recovered coupling, MAC-feasible, not unit rank: the
+    # bound at that coupling cannot be scored, so the MAC route must step
+    # aside rather than raise
+    ch = ifc.validate_channel(np.array([[1.0, 1.0], [3.0, 1.0]]))
+    rec = ifc.recover_noise_correlation(ch)
+    assert rec is not None and abs(abs(rec.sigma[0, 1]) - 1.0) < 1e-12
+    assert ifc.mac_feasibility(ch).feasible
+    cert = ifc.certify_sum_capacity(ch)
+    assert cert.status == BOUND_ONLY
+    assert "unit-rank gain matrix: no" in cert.details
+    assert any("bound at the recovered coupling is degenerate" in d for d in cert.details)
+
+
+# channels whose sum capacity only the numeric route certifies, with the
+# family and ordering of the winning sum-rate inequality
+NUMERIC_CASES = [
+    ([[1.0, 0.0], [0.5, 1.0]], "ETW", (2, 1)),
+    ([[2.0, 0.0, 0.0], [0.3, 1.5, 0.0], [0.2, 0.4, 1.0]], "KRA", (3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
+def test_numeric_match(H, family, perm):
+    ch = ifc.validate_channel(np.array(H))
+    ineq = ifc.region(ch, sum_rate_only=True).inequalities[-1]
+    assert (ineq.family, tuple(ineq.witness["perm"])) == (family, perm)
+    cert = ifc.certify_sum_capacity(ch)
+    assert (cert.status, cert.path) == (CERTIFIED, PATH_NUMERIC)
+    assert abs(cert.gap_bits) <= 1e-9
+
+
+@pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
+def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, H, family, perm):
+    # region scores the winner by kra_term_value / etw_term_value; the recheck
+    # must reach the entropy chain (KRA) or the closed-form summands (ETW)
+    name = "_term_by_entropies" if family == "KRA" else "_etw_summand"
+    route = getattr(certify, name)
+    monkeypatch.setattr(certify, name, lambda *args: route(*args) + 1e-6)
+    with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
+        ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
