@@ -55,7 +55,7 @@ class LabelOverlap(ValidationError):
 
 
 class ConditionViolated(ValidationError):
-    """A constructor's admissibility condition failed in strict mode."""
+    """A constructor's admissibility condition failed."""
 
 
 class NonStandardDiagonal(ValidationError):

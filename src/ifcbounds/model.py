@@ -22,6 +22,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    LabelOverlap,
     NonFinite,
     NonPositiveDiagonal,
     NonSquare,
@@ -160,7 +161,7 @@ class JointGaussian:
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
-            raise NotHermitian(f"duplicate labels: {self.labels}")  # pragma: no cover
+            raise LabelOverlap(f"duplicate labels: {self.labels}")
 
     @property
     def dim(self) -> int:

@@ -18,14 +18,16 @@ KRA term on a pair of users -- is solved in closed form (``_pair_rho``).
 A KRA term on three or more users is convex in the noise correlation, and is
 minimized by one BFGS start with the analytic gradient over a factored
 correlation Sigma = U U^H whose rows of U are kept at unit length, which keeps
-it feasible by construction.  That BFGS solve is the module's only use of
-scipy, which is imported on its first call (``minimize``).  Candidates are
-ranked by these fast forms; only the returned witness is re-scored through
-the reference route (``kra_term_value`` / ``etw_term_value``).  A key reduction used
-throughout: conditioning on the inputs outside S makes a term depend only on
-the |S| x |S| subchannel H[pi, pi] and the matching block of the noise
-correlation, so every search runs in the reduced space and the witness is
-embedded back at the end.
+it feasible by construction.  It starts from the coupling recursion's
+inverse (``construct.invert_coupling_recursion``) when that is PSD: on a
+constructed channel it is the exact minimizer.  That BFGS solve is the
+module's only use of scipy, which is imported on its first call
+(``minimize``).  Candidates are ranked by these fast forms; only the returned
+witness is re-scored through the reference route (``kra_term_value`` /
+``etw_term_value``).  A key reduction used throughout: conditioning on the
+inputs outside S makes a term depend only on the |S| x |S| subchannel
+H[pi, pi] and the matching block of the noise correlation, so every search
+runs in the reduced space and the witness is embedded back at the end.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .achievability import mac_feasibility, tin_sum_rate, tin_sum_rate_general
+from .construct import invert_coupling_recursion
 from .errors import (
     InternalConsistencyError,
     SingularCovariance,
@@ -232,29 +235,6 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
     return total
 
 
-def _warm_sigma_candidate(Hr: np.ndarray) -> Optional[np.ndarray]:
-    """Invert the coupling recursion on the reduced channel's upper triangle.
-
-    For channels built from a noise correlation this recovers that matrix
-    exactly, which is the exact minimizer; used purely as a warm start, so a
-    non-PSD result is simply discarded.
-    """
-    s = Hr.shape[0]
-    sigma = np.eye(s, dtype=complex)
-    for k in range(s, 1, -1):
-        tail = Hr[k - 1, k:]
-        t2 = float(np.sum(np.abs(tail) ** 2))
-        col = ((1.0 + t2) / Hr[k - 1, k - 1].real) * Hr[:k - 1, k - 1]
-        if tail.size:
-            col = col - Hr[:k - 1, k:] @ tail.conj()
-        sigma[:k - 1, k - 1] = col
-        sigma[k - 1, :k - 1] = col.conj()
-    w = np.linalg.eigvalsh(sigma)
-    if w[0] < -1e-10:
-        return None
-    return sigma
-
-
 def _pair_rho(p: float, c: complex) -> complex:
     """Exact minimizer of log2(p - |c + rho|^2) - log2(1 - |rho|^2) over |rho| <= RHO_CAP.
 
@@ -373,7 +353,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
         rho = _pair_rho((1.0 + A[0, 0].real) * (1.0 + A[1, 1].real), complex(A[0, 1]))
         candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
     elif s >= 3:
-        warm = _warm_sigma_candidate(Hr)
+        warm = invert_coupling_recursion(Hr)  # exact for a constructed channel
         if warm is not None:
             candidates.append(warm)
         end = _factored_min_sigma(candidates[-1], grams)  # the warm start if PSD
@@ -485,37 +465,29 @@ def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
         raise TooLarge(f"full-region evaluation supports K <= {FULL_REGION_MAX_K}, got K={K}; "
                        "use sum-rate-only mode (--sum-rate-only) for larger channels")
 
-    if sum_rate_only:
-        full = tuple(range(1, K + 1))
-        if K <= ENUM_MAX_K:
-            terms = [BoundTerm(full, p) for p in permutations(full)]
-        else:
-            terms = [BoundTerm(full, full)]
-    else:
-        terms = enumerate_terms(K)
-
-    by_subset: Dict[Tuple[int, ...], List[BoundTerm]] = {}
-    for t in terms:
-        by_subset.setdefault(t.subset, []).append(t)
+    users = tuple(range(1, K + 1))
+    subsets = [users] if sum_rate_only else [
+        c for n in range(1, K + 1) for c in combinations(users, n)]
 
     inequalities = []
     per_family_sum_rate: Dict[str, float] = {}
-    full_subset = tuple(range(1, K + 1))
 
-    for subset in sorted(by_subset, key=lambda s: (len(s), s)):
+    for subset in subsets:
+        perms = list(permutations(subset)) if K <= ENUM_MAX_K else [subset]
         best = None  # (value, family, witness dict)
         for fam in fams:
             fam_best = None
-            for t in by_subset[subset]:
+            for perm in perms:
+                t = BoundTerm(subset, perm)
                 if fam == FAMILY_KRA:
                     val, noise = kra_term_min(ch, t)
-                    wit = {"perm": t.perm, "sigma": noise.sigma}
+                    wit = {"perm": perm, "sigma": noise.sigma}
                 else:
                     val, rhos = etw_term_min(ch, t)
-                    wit = {"perm": t.perm, "rhos": rhos}
+                    wit = {"perm": perm, "rhos": rhos}
                 if fam_best is None or val < fam_best[0]:
                     fam_best = (val, fam, wit)
-            if subset == full_subset:
+            if subset == users:
                 per_family_sum_rate[fam_best[1]] = fam_best[0]
             if best is None or fam_best[0] < best[0]:
                 best = fam_best

@@ -177,6 +177,19 @@ def test_construct_many_to_one_power_violation(capsys, tmp_path):
     assert "1" in err
 
 
+@pytest.mark.parametrize("mode, params", [
+    ("z", {"sigma": [[1, 1], [1, 1]]}),
+    ("many-to-one", {"v": [0.6, 0.8]}),
+    ("many-to-one", {"v": [1.0]}),
+])
+def test_construct_refuses_a_singular_coupling(capsys, tmp_path, mode, params):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(capsys, ["construct", mode, str(path)])
+    assert (code, out) == (2, "")
+    assert "noise coupling must be positive definite" in err
+
+
 def test_sweep_csv_shape(capsys, tmp_path):
     tmpl = spec_file(tmp_path, "tmpl.json", [[1.0, 0.0], [0.0, 1.0]])
     code, out, _ = run(capsys, [

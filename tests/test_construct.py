@@ -67,15 +67,16 @@ def test_many_to_one_is_a_coupled_z_channel():
         g = random_gains(rng, K)
         ch = ifc.many_to_one(v, g)
         alt = ifc.build_z_channel(ifc.many_to_one_noise(v), g)
-        assert np.max(np.abs(ch.entries - alt.entries)) < 1e-12
+        assert np.array_equal(ch.entries, alt.entries)
+        # only receiver 1 is interfered, at h_{1,k} = v_k h_{k,k}
+        assert np.array_equal(ch.entries[0, 1:], v * g[1:])
+        assert np.all(np.triu(ch.entries[1:, 1:], 1) == 0)
 
 
 def test_many_to_one_power_condition():
     v = [0.8, 0.7]  # sum of squares 1.13 > 1
     with pytest.raises(ConditionViolated):
         ifc.many_to_one(v, [1.0, 1.0, 1.0])
-    ch = ifc.many_to_one(v, [1.0, 1.0, 1.0], strict=False)
-    assert ch.K == 3
 
 
 def test_many_to_one_noise_is_valid_and_rank_structured():
@@ -128,3 +129,5 @@ def test_witness_failure_surfaces_from_builder(monkeypatch):
     sig = sample_interior_sigma(rng, 2)
     with pytest.raises(WitnessFailure):
         construct.build_z_channel(sig, [1.0, 1.0])
+    with pytest.raises(WitnessFailure):  # many_to_one is checked as a Z construction
+        construct.many_to_one([0.5, 0.3j], [1.0, 2.0, 1.5])

@@ -5,6 +5,7 @@ import pytest
 
 import ifcbounds as ifc
 from ifcbounds.errors import (
+    LabelOverlap,
     NonPositiveDiagonal,
     NonSquare,
     NotHermitian,
@@ -88,6 +89,14 @@ def test_row_vector_psd_boundary():
     s2[2, 1] = s2[1, 2] = 0.8
     with pytest.raises(NotPSD):
         ifc.validate_noise_correlation(s2)
+
+
+def test_duplicate_joint_labels_rejected():
+    from ifcbounds.model import make_joint
+    with pytest.raises(LabelOverlap):
+        ifc.JointGaussian(("X1", "X1"), np.eye(2))
+    with pytest.raises(LabelOverlap):
+        make_joint(["Y1", "X2", "Y1"], np.eye(3))
 
 
 # ---------------------------------------------------------------------------
