@@ -37,7 +37,13 @@ from .errors import (
     WitnessFailure,
 )
 from .gaussian_info import EIG_TOL, build_joint, conditional_mi, regression_coefficients
-from .model import ChannelMatrix, NoiseCorrelation, validate_channel, validate_noise_correlation
+from .model import (
+    PSD_EIG_TOL,
+    ChannelMatrix,
+    NoiseCorrelation,
+    validate_channel,
+    validate_noise_correlation,
+)
 
 #: residual threshold for the degradedness witness, both in estimator
 #: coefficient magnitude and in bits of conditional information
@@ -134,8 +140,8 @@ def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
     """The unit-diagonal matrix whose recursion reproduces H's upper triangle.
 
     Entries below the diagonal are ignored.  Returns None when the result is
-    not positive semidefinite (an eigenvalue below -1e-10): H's upper
-    triangle is then not constructible.
+    not PSD by validate_noise_correlation's bound (an eigenvalue below
+    -PSD_EIG_TOL): H's upper triangle is then not constructible.
     """
     s = H.shape[0]
     sigma = np.eye(s, dtype=complex)
@@ -147,7 +153,7 @@ def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
             col = col - H[:k - 1, k:] @ tail.conj()
         sigma[:k - 1, k - 1] = col
         sigma[k - 1, :k - 1] = col.conj()
-    return sigma if np.linalg.eigvalsh(sigma)[0] >= -1e-10 else None
+    return sigma if np.linalg.eigvalsh(sigma)[0] >= -PSD_EIG_TOL else None
 
 
 def recover_noise_correlation(ch: ChannelMatrix) -> Optional[NoiseCorrelation]:

@@ -1,9 +1,10 @@
 """Entropies and mutual informations of circularly-symmetric Gaussian vectors.
 
-Everything here reduces to log-determinants of covariance blocks and Schur
-complements; this module is the engine every bound term runs on.  The joint
-vector is assembled once per channel/noise/genie configuration by
-:func:`build_joint`, after which queries are pure covariance algebra.
+Everything here reduces to log-determinants of conditional covariances, each
+read off the Cholesky factor of one joint covariance block; this module is
+the engine every bound term runs on.  The joint vector is assembled once per
+channel/noise/genie configuration by :func:`build_joint`, after which queries
+are pure covariance algebra.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -12,7 +13,7 @@ circularly-symmetric vector with covariance S has h = log2 det(pi e S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .model import ChannelMatrix, JointGaussian, NoiseCorrelation, make_joint
 
 LOG2PIE = float(np.log2(np.pi * np.e))
 
-#: relative eigenvalue cutoff, both for pseudo-inversion of conditioning
-#: blocks and for declaring a conditional covariance singular
+#: relative singularity cutoff: a conditional variance (Cholesky pivot) at or
+#: below EIG_TOL times its unconditional variance makes a covariance singular
 EIG_TOL = 1e-12
 
 #: genie noise correlation magnitudes are capped strictly inside the unit disc
@@ -111,80 +112,71 @@ def build_joint(ch: ChannelMatrix, noise: NoiseCorrelation,
 
 
 # ---------------------------------------------------------------------------
-# covariance block helpers
+# conditioning through one Cholesky factor
+#
+# Factor the joint block ordered (C, A) as L L^H.  Its trailing |A| x |A|
+# corner factors Cov(A | C), and the rows of A left of that corner hold the
+# regression of A on C, so no conditioning block is ever inverted.
 
-def _block(j: JointGaussian, rows: Iterable[str], cols: Iterable[str]) -> np.ndarray:
-    ri = j.indices(rows)
-    ci = j.indices(cols)
-    return j.cov[np.ix_(ri, ci)]
+def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarray:
+    """Cholesky factor of the joint block ordered (C, A); a failed factor or a
+    trailing pivot at or below EIG_TOL times its variance raises
+    SingularCovariance."""
+    idx = j.indices(list(c) + list(a))
+    block = j.cov[np.ix_(idx, idx)]
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance(
+            f"joint cov of {list(c)} and {list(a)} is not positive definite") from None
+    pivots = np.diagonal(L)[len(c):].real ** 2
+    if np.any(pivots <= EIG_TOL * np.diagonal(block)[len(c):].real):
+        raise SingularCovariance(
+            f"cov of {list(a)} given {list(c)} has near-zero pivot {pivots.min():.3e} "
+            "(deterministic relation)")
+    return L
 
 
-def _pinv_psd(mat: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a Hermitian PSD block, eigenvalues below EIG_TOL
-    (relative to the largest) treated as exact zeros."""
-    w, v = np.linalg.eigh(mat)
-    cutoff = EIG_TOL * max(1.0, float(w[-1])) if w.size else 0.0
-    inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    return (v * inv_w) @ v.conj().T
-
-
-def conditional_cov(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarray:
-    """Schur complement Sigma_A - Sigma_AC pinv(Sigma_C) Sigma_CA."""
-    s_a = _block(j, a, a)
-    if not c:
-        return s_a
-    s_c = _block(j, c, c)
-    s_ac = _block(j, a, c)
-    out = s_a - s_ac @ _pinv_psd(s_c) @ s_ac.conj().T
-    return (out + out.conj().T) / 2.0
+def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
+    """log2 det Cov(A | C): the trailing |A| pivots of the (C, A) factor."""
+    return 2.0 * float(np.sum(np.log2(np.diagonal(_cholesky(j, a, c))[len(c):].real)))
 
 
 def regression_coefficients(j: JointGaussian, targets: Sequence[str],
                             predictors: Sequence[str]) -> np.ndarray:
-    """MMSE estimator matrix W with E[T | P] = W p (shape |T| x |P|)."""
-    s_tp = _block(j, targets, predictors)
-    s_p = _block(j, predictors, predictors)
-    return s_tp @ _pinv_psd(s_p)
+    """MMSE estimator matrix W with E[T | P] = W p (shape |T| x |P|).
 
-
-def _logdet(mat: np.ndarray, what: str) -> float:
-    """log2 det of a Hermitian positive block; singular -> SingularCovariance."""
-    w = np.linalg.eigvalsh(mat)
-    if w[0] <= EIG_TOL * max(1.0, float(w[-1])):
-        raise SingularCovariance(
-            f"{what} has near-zero eigenvalue {w[0]:.3e} (deterministic relation)")
-    sign, logdet = np.linalg.slogdet(mat)
-    return float(logdet) / float(np.log(2.0))
+    From the factor of the (P, T) block, Sigma_TP = L_TP L_PP^H and
+    Sigma_PP = L_PP L_PP^H, so W = L_TP L_PP^-1.
+    """
+    n = len(predictors)
+    L = _cholesky(j, targets, predictors)
+    return np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
 
 
 def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
     """Differential entropy h(A) in bits: |A| log2(pi e) + log2 det Sigma_A."""
-    a = list(a)
-    if not a:
-        raise LabelOverlap("entropy of an empty label set")
-    return len(a) * LOG2PIE + _logdet(_block(j, a, a), f"cov of {a}")
+    return conditional_entropy(j, a, [])
 
 
 def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
-    """h(A | C) in bits via the Schur complement."""
+    """h(A | C) in bits from the factor of the (C, A) block."""
     a, c = list(a), list(c)
     if set(a) & set(c):
         raise LabelOverlap(f"A and C overlap: {sorted(set(a) & set(c))}")
-    if not c:
-        return diff_entropy(j, a)
-    return len(a) * LOG2PIE + _logdet(conditional_cov(j, a, c), f"cov of {a} given {c}")
+    if not a:
+        raise LabelOverlap("entropy of an empty label set")
+    return len(a) * LOG2PIE + _cond_logdet(j, a, c)
 
 
 def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
                    c: Sequence[str] = ()) -> float:
     """I(A; B | C) in bits.
 
-    Computed as log2 det Sigma_{A|C} - log2 det Sigma_{A|B,C}.  Small negative
+    Computed as log2 det Sigma_{A|C} - log2 det Sigma_{A|B,C}, each read off
+    one Cholesky factor (of the (C, A) and (B, C, A) blocks).  Small negative
     values are floating-point dust on a provably nonnegative quantity and are
     clamped to zero; anything below -1e-9 indicates a bug upstream and raises.
-    The cutoff matches the certification tolerance: round-off on conditioned
-    K=5 systems reaches the 1e-11 scale, while genuine algebra errors land
-    orders of magnitude beyond it.
     """
     a, b, c = list(a), list(b), list(c)
     if not a or not b:
@@ -192,9 +184,7 @@ def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
     if overlap:
         raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
-    h_ac = _logdet(conditional_cov(j, a, c), f"cov of {a} given {c}")
-    h_abc = _logdet(conditional_cov(j, a, b + c), f"cov of {a} given {b + c}")
-    mi = h_ac - h_abc
+    mi = _cond_logdet(j, a, c) - _cond_logdet(j, a, b + c)
     if mi < 0.0:
         if mi > -1e-9:
             return 0.0

@@ -1,10 +1,10 @@
 """Independent validation paths for the bound engine.
 
 Nothing here sits on the main computation path.  The Monte-Carlo estimator
-checks the covariance assembly and Schur machinery by sampling; the
-four-entropy identity recomputes conditional information through eigenvalue
-sums instead of Schur complements; the exhaustive grid revalidates the local
-optimizer on small problems with explicit 1x1/2x2/3x3 determinant formulas.
+checks the covariance assembly and the Cholesky route by sampling; the
+four-entropy identity recomputes conditional information from eigenvalue sums
+of four joint blocks, independent of that route; the exhaustive grid checks
+the local optimizer on small problems with explicit 1x1/2x2/3x3 determinants.
 
 Sampling uses a counter-based generator (Philox) driving inverse-CDF normals,
 a portable, named recipe: u ~ U(0,1), z = (ndtri(u1) + i ndtri(u2)) / sqrt(2).
@@ -33,7 +33,7 @@ MIN_SAMPLES = 10_000
 
 
 def _entropy_eig(j: JointGaussian, labels: Sequence[str]) -> float:
-    """Differential entropy via the eigenvalue sum (no Schur, no slogdet)."""
+    """Differential entropy via the eigenvalue sum (no Cholesky, no slogdet)."""
     labels = list(labels)
     if not labels:
         return 0.0
@@ -69,7 +69,7 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 def _conditional_pieces(cov: np.ndarray, ia: List[int], icond: List[int]):
     """(regression matrix, precision of the conditional cov, its log2 det).
 
-    Eigen-based throughout so this path shares nothing with the Schur module.
+    Eigen-based throughout so this path shares nothing with the Cholesky route.
     """
     s_a = cov[np.ix_(ia, ia)]
     if icond:

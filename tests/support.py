@@ -4,10 +4,15 @@ Everything takes an explicit numpy Generator so individual tests stay
 reproducible under pytest -p no:randomly and friends.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 import ifcbounds as ifc
 from ifcbounds.oracle import CorrelationAngles
+
+#: working precision of the referee below
+REFEREE_DIGITS = 50
 
 
 def sample_interior_sigma(rng, K, margin=0.15, eig_floor=5e-3):
@@ -69,3 +74,74 @@ def random_joint(rng, K):
     ch = random_channel(rng, K)
     sig = sample_interior_sigma(rng, K)
     return ifc.build_joint(ch, sig), ch, sig
+
+
+# ---------------------------------------------------------------------------
+# a 50-digit referee in stdlib decimal, to tell which float route lost digits
+
+def _dec(z):
+    """A float complex as an exact (re, im) pair of Decimals."""
+    z = complex(z)
+    return Decimal(z.real), Decimal(z.imag)
+
+
+def _ln_det(M):
+    """ln det of a Hermitian positive definite matrix of (re, im) Decimal
+    pairs: the Cholesky factor of the real embedding [[Re, -Im], [Im, Re]],
+    whose determinant is det(M)^2, gives sum_i ln L_ii = ln det M."""
+    n = len(M)
+    R = [[Decimal(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            re, im = M[i][j]
+            R[i][j] = R[i + n][j + n] = re
+            R[i][j + n], R[i + n][j] = -im, im
+    L = [[Decimal(0)] * (2 * n) for _ in range(2 * n)]
+    total = Decimal(0)
+    for i in range(2 * n):
+        for j in range(i + 1):
+            acc = R[i][j] - sum(L[i][k] * L[j][k] for k in range(j))
+            if i > j:
+                L[i][j] = acc / L[j][j]
+            elif acc <= 0:
+                raise ValueError("block is not positive definite")
+            else:
+                L[i][i] = acc.sqrt()
+                total += L[i][i].ln()
+    return total
+
+
+def referee_log2det(mat):
+    """log2 det of a Hermitian positive definite block, from its exact float
+    entries at REFEREE_DIGITS digits."""
+    mat = np.asarray(mat, dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = REFEREE_DIGITS
+        M = [[_dec(x) for x in row] for row in mat]
+        return float(_ln_det(M) / Decimal(2).ln())
+
+
+def referee_kra_term(ch, noise, t):
+    """KRA term t at the noise correlation, telescoped from exact H and Sigma
+    at REFEREE_DIGITS digits:
+    sum_k [ld(Sigma_k + A_k) - ld(Sigma_{k-1} + B_k)] - ld(Sigma), with
+    A_k = T T^H for T = Hr[:k, k-1:] and B_k the same without its last row,
+    in the reduced channel Hr = H[pi, pi]."""
+    idx = [p - 1 for p in t.perm]
+    s = len(idx)
+    with localcontext() as ctx:
+        ctx.prec = REFEREE_DIGITS
+        H = [[_dec(ch.entries[i, j]) for j in idx] for i in idx]
+        S = [[_dec(noise.sigma[i, j]) for j in idx] for i in idx]
+
+        def ld(n, cols):  # ln det(Sigma_n + T T^H), T = Hr[:n, cols]
+            return _ln_det([[(S[i][j][0] + sum(H[i][c][0] * H[j][c][0] + H[i][c][1] * H[j][c][1]
+                                               for c in cols),
+                              S[i][j][1] + sum(H[i][c][1] * H[j][c][0] - H[i][c][0] * H[j][c][1]
+                                               for c in cols))
+                             for j in range(n)] for i in range(n)])
+
+        total = (sum(ld(k, range(k - 1, s)) for k in range(1, s + 1))
+                 - sum(ld(k - 1, range(k - 1, s)) for k in range(2, s + 1))
+                 - ld(s, ()))
+        return float(total / Decimal(2).ln())

@@ -54,6 +54,14 @@ def test_evaluate_byte_identical_across_runs(capsys, weak2):
     assert out1 == out2
 
 
+def test_evaluate_strong_cross_gain_is_consistent(capsys, tmp_path):
+    # a 30x cross gain must not trip the genie residual check (exit 4)
+    p = spec_file(tmp_path, "strong2.json", [[5, 1], [30, 5]])
+    code, out, _ = run(capsys, ["evaluate", p])
+    assert code == 0
+    assert json.loads(out)["consistent"] is True
+
+
 def test_evaluate_malformed_json_exits_two(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -6,7 +6,7 @@ import ifcbounds as ifc
 from ifcbounds.errors import IndexOutOfRange, LabelOverlap, RhoTooLarge, SingularCovariance
 from ifcbounds.gaussian_info import LOG2PIE, regression_coefficients
 
-from support import random_channel, random_joint, sample_interior_sigma
+from support import random_channel, random_joint, referee_log2det, sample_interior_sigma
 
 LOG2PIE_EXPECTED = np.log2(np.pi * np.e)
 
@@ -185,6 +185,24 @@ def test_symmetry(seed):
     j, _, _ = random_joint(rng, 3)
     a, b, c = ["Y1", "Y2"], ["X1", "X3"], ["X2"]
     assert abs(ifc.conditional_mi(j, a, b, c) - ifc.conditional_mi(j, b, a, c)) < 1e-9
+
+
+def test_conditional_entropy_agrees_with_the_referee_under_strong_coupling():
+    # conditioning on (Y, X) must not invert that block, whose condition
+    # number grows like |h|^4
+    for d in (5, 8, 9, 10):
+        for x in (1, 2, 4, 7):
+            for y in (10, 15, 20, 25, 30, 40):
+                ch = ifc.validate_channel([[d, x], [y, d]])
+                j = ifc.build_joint(ch, ifc.identity_noise(2), [ifc.GenieSpec(2, 0.5 + 0.2j, 1)])
+
+                def ld(labels):
+                    idx = j.indices(labels)
+                    return referee_log2det(j.cov[np.ix_(idx, idx)])
+
+                for a, c in ((["G2"], ["Y1", "X1", "X2"]), (["Y1"], ["G2"]), (["Y2"], ["Y1", "X1"])):
+                    ref = LOG2PIE + ld(c + a) - ld(c)
+                    assert abs(ifc.conditional_entropy(j, a, c) - ref) < 1e-12, (d, x, y, a)
 
 
 # ---------------------------------------------------------------------------
