@@ -1,22 +1,22 @@
 """Sum-capacity certificates.
 
 A certificate is issued when an upper bound and an achievable rate coincide
-to within 1e-9 bits.  Four routes are tried in a fixed order, so results are
+to within 1e-9 bits.  Three routes are tried in a fixed order, so results are
 reproducible and the cheap analytic routes win over the numeric one:
 
-1. Z_THEOREM2 — the gain matrix is strictly upper triangular and inverting
-   the coupling recursion on its upper entries
+1. DEGRADED — the gain matrix is numerically unit-rank; the pooled-transmitter
+   (broadcast) bound meets the successive-decoding ladder.
+2. The ladder route — inverting the coupling recursion on the upper entries
    (``construct.recover_noise_correlation``) yields a feasible noise
    correlation, under which earlier outputs are degraded versions of later
-   ones by construction (so this is not checked separately); the
-   correlated-noise bound then collapses onto the interference-as-noise
-   ladder, which is achievable.
-2. DEGRADED — the gain matrix is numerically unit-rank; the pooled-transmitter
-   (broadcast) bound meets the successive-decoding ladder.
-3. MAC_THEOREM3 — the recursion inversion is feasible (so degradedness again
-   follows; a nonzero lower triangle is allowed) and the ladder rates survive
-   every per-receiver joint-decoding check, making them achievable.
-4. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
+   ones by construction (so this is not checked separately); the ladder
+   rates survive every per-receiver joint decoding of the earlier users that
+   receiver hears, so they are achievable; and the correlated-noise bound at
+   the recovered coupling meets the ladder.  The certificate is labelled
+   Z_THEOREM2 when the gains are strictly upper triangular (no receiver hears
+   an earlier user, so the decoding check holds trivially) and MAC_THEOREM3
+   otherwise.
+3. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
    agree within tolerance.
 
 Every issued certificate is re-verified through independent recomputations of
@@ -62,6 +62,7 @@ from .model import (
     validate_noise_correlation,
 )
 from .outer_bound import (
+    FAMILY_KRA,
     BoundTerm,
     _etw_summand,
     _etw_summand_data,
@@ -121,7 +122,7 @@ def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
     of output entropies on the channel and coupling relabeled in the
     witness's order (KRA), or the closed-form summands (ETW)."""
     perm = ineq.witness["perm"]
-    if ineq.family == "KRA":
+    if ineq.family == FAMILY_KRA:
         idx = np.ix_([p - 1 for p in perm], [p - 1 for p in perm])
         return _term_by_entropies(validate_channel(ch.entries[idx]),
                                   validate_noise_correlation(ineq.witness["sigma"][idx]))
@@ -141,9 +142,9 @@ def _fmt(x: float) -> str:
 
 
 def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: str,
-                        details: List[str], met: str, missed: str) -> Optional[Certificate]:
+                        details: List[str]) -> Optional[Certificate]:
     """Natural-order full-set bound at the recovered coupling against the
-    successive-decoding ladder (the Z_THEOREM2 and MAC_THEOREM3 routes).
+    successive-decoding ladder.
 
     Returns the re-verified certificate when they meet; otherwise records the
     miss in ``details`` and returns None.
@@ -154,7 +155,7 @@ def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: st
         upper = kra_term_value(ch, recovered, BoundTerm(full, full))
         gap = upper - lower
         if abs(gap) > CERT_TOL:
-            details.append(f"{missed} by {gap:.3e} bits")
+            details.append(f"bound at the recovered coupling missed the ladder by {gap:.3e} bits")
             return None
         upper2 = _term_by_entropies(ch, recovered)
     except SingularCovariance:
@@ -163,32 +164,19 @@ def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: st
         details.append("bound at the recovered coupling is degenerate, route skipped")
         return None
     _recheck(upper, upper2, lower, _ladder_by_information(ch))
-    details.append(f"ladder value {_fmt(lower)} bits {met} (gap {gap:.3e})")
+    details.append(f"ladder value {_fmt(lower)} bits met by the bound at the recovered "
+                   f"coupling (gap {gap:.3e})")
     return Certificate(CERTIFIED, path, gap, upper, lower, tuple(details))
 
 
 def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
-    """Try the four certification routes in priority order.
+    """Try the three certification routes in priority order.
 
     Deterministic given the channel.  The returned certificate's
     details trace which routes were attempted and why they concluded.
     """
     H = ch.entries
     details: List[str] = []
-
-    strictly_upper = bool(np.all(np.tril(H, -1) == 0))
-    details.append(f"strictly upper triangular gains: {'yes' if strictly_upper else 'no'}")
-
-    recovered = recover_noise_correlation(ch)
-    details.append("noise-coupling recovery from upper triangle: "
-                   + ("feasible" if recovered is not None else "not PSD"))
-
-    if strictly_upper and recovered is not None:
-        cert = _ladder_certificate(ch, recovered, PATH_Z, details,
-                                   "met by bound at the recovered coupling",
-                                   "recovered-coupling bound missed the ladder")
-        if cert is not None:
-            return cert
 
     factors = _rank_one_factors(H)
     details.append(f"unit-rank gain matrix: {'yes' if factors is not None else 'no'}")
@@ -208,21 +196,23 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
             return Certificate(CERTIFIED, PATH_DEGRADED, gap, upper, lower, tuple(details))
         details.append(f"pooled-transmitter bound missed the ladder by {gap:.3e} bits")
 
+    recovered = recover_noise_correlation(ch)
+    details.append("noise-coupling recovery from upper triangle: "
+                   + ("feasible" if recovered is not None else "not PSD"))
     if recovered is not None:
         try:
             mac = mac_feasibility(ch)
         except TooLarge:
             mac = None
-            details.append("joint-decoding check skipped (too many users)")
-        if mac is not None:
+            details.append("joint-decoding check skipped (a receiver hears too many users)")
+        else:
             details.append(f"per-receiver joint decoding of the ladder rates: "
                            f"{'feasible' if mac.feasible else f'{len(mac.violations)} violations'}")
-            if mac.feasible:
-                cert = _ladder_certificate(ch, recovered, PATH_MAC, details,
-                                           "is jointly decodable and met by the bound",
-                                           "bound missed the decodable ladder")
-                if cert is not None:
-                    return cert
+        if mac is not None and mac.feasible:
+            path = PATH_Z if np.all(np.tril(H, -1) == 0) else PATH_MAC
+            cert = _ladder_certificate(ch, recovered, path, details)
+            if cert is not None:
+                return cert
 
     rep = region(ch, sum_rate_only=True)
     upper = rep.sum_rate_upper

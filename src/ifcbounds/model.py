@@ -373,7 +373,7 @@ def parse_channel_spec(doc: Union[str, bytes, Mapping]) -> Union[ChannelMatrix, 
         raise SchemaError("", "top-level value must be an object")
     if "schema_version" in doc:
         ver = doc["schema_version"]
-        if not isinstance(ver, int) or ver != SCHEMA_VERSION:
+        if isinstance(ver, bool) or not isinstance(ver, int) or ver != SCHEMA_VERSION:
             raise SchemaError("/schema_version", f"unsupported schema version {ver!r}")
     if "K" not in doc:
         raise SchemaError("/K", "missing required key")

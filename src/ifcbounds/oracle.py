@@ -108,6 +108,8 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
         raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
     if n_samples < MIN_SAMPLES:
         raise ValidationError(f"n_samples must be at least {MIN_SAMPLES}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
 
     labels = a + b + c
     idx = j.indices(labels)

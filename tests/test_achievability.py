@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ifcbounds as ifc
-from ifcbounds.errors import BetaInvalid, NotSorted
+from ifcbounds import achievability
+from ifcbounds.errors import BetaInvalid, NotSorted, TooLarge
 
 from support import random_rank_one, random_upper_triangular_channel
 
@@ -52,12 +53,37 @@ def test_mac_single_user_feasible():
     assert ifc.mac_feasibility(ifc.validate_channel([[1.5]])).feasible
 
 
-def test_mac_diagonal_infeasible():
+def test_mac_decodes_only_the_users_a_receiver_hears():
     res = ifc.mac_feasibility(ifc.validate_channel(np.eye(2)))
-    assert not res.feasible
-    (k, subset, lhs, rhs) = res.violations[0]
-    assert k == 2 and subset == (1,)
-    assert abs(lhs - 2.0) < 1e-12 and abs(rhs - 1.0) < 1e-12
+    assert res.feasible and res.violations == ()
+    res = ifc.mac_feasibility(ifc.validate_channel([[1.0, 0.0], [0.5, 1.0]]))
+    ((k, subset, lhs, rhs),) = res.violations
+    assert not res.feasible and (k, subset) == (2, (1,))
+    assert abs(lhs - 2.0) < 1e-12 and abs(rhs - np.log2(2.25)) < 1e-12
+    # receiver 3 hears user 1 but not user 2
+    res = ifc.mac_feasibility(ifc.validate_channel(
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]))
+    third = [subset for k, subset, _, _ in res.violations if k == 3]
+    assert third == [(1,)]
+
+
+def test_mac_feasible_on_strictly_upper_triangular_channels():
+    rng = np.random.default_rng(15)
+    for _ in range(25):
+        ch = random_upper_triangular_channel(rng, int(rng.integers(1, 8)))
+        res = ifc.mac_feasibility(ch)
+        assert res.feasible and res.violations == ()
+
+
+def test_mac_cap_counts_the_earlier_users_a_receiver_hears(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subsets enumerated before the size check")
+
+    monkeypatch.setattr(achievability, "combinations", refuse)
+    H = np.eye(21)
+    H[20, :20] = 0.1  # receiver 21 hears 20 earlier users
+    with pytest.raises(TooLarge):
+        ifc.mac_feasibility(ifc.validate_channel(H))
 
 
 def test_mac_rank_one_worked_example():

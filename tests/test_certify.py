@@ -12,7 +12,7 @@ from ifcbounds.certify import (
     PATH_Z,
 )
 
-from support import random_rank_one, random_z_channel
+from support import random_gains, random_rank_one, random_z_channel, sample_interior_sigma
 
 
 def test_z_channel_certified_via_recovery():
@@ -43,6 +43,29 @@ def test_mac_path_on_strong_lower_coupling():
     assert cert.status == CERTIFIED
     assert cert.path == PATH_MAC
     assert abs(cert.gap_bits) <= 1e-9
+
+
+def test_large_z_channel_certified_via_recovery():
+    # no receiver of a Z channel hears an earlier user, so the joint-decoding
+    # cap does not bind however many users there are
+    rng = np.random.default_rng(56)
+    ch = ifc.build_z_channel(sample_interior_sigma(rng, 22), random_gains(rng, 22))
+    cert = ifc.certify_sum_capacity(ch)
+    assert (cert.status, cert.path) == (CERTIFIED, PATH_Z)
+
+
+def test_one_to_many_channel_certified_by_the_ladder():
+    # user 1 interferes strongly at every receiver; the others are not heard
+    ch = ifc.validate_channel(np.array([[1.0, 0, 0], [3.0, 1.2, 0], [4.0, 0, 0.9]]))
+    cert = ifc.certify_sum_capacity(ch)
+    assert (cert.status, cert.path) == (CERTIFIED, PATH_MAC)
+    assert abs(cert.lower_bits - ifc.tin_sum_rate(ch)) <= 1e-12
+
+
+def test_single_user_certified_degraded():
+    cert = ifc.certify_sum_capacity(ifc.validate_channel([[1.5]]))
+    assert (cert.status, cert.path) == (CERTIFIED, PATH_DEGRADED)
+    assert abs(cert.upper_bits - np.log2(3.25)) < 1e-12
 
 
 def test_symmetric_weak_interference_is_bound_only():

@@ -243,6 +243,22 @@ def test_bad_environment_value_exits_two(capsys, z2, monkeypatch):
     assert "IFC_SEED" in err
 
 
+def test_negative_seed_exits_two(capsys, z2, monkeypatch):
+    code, out, err = run(capsys, ["verify", z2, "--mc-samples", "10000", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "seed" in err and "Traceback" not in err
+    monkeypatch.setenv("IFC_SEED", "-2")
+    code, out, _ = run(capsys, ["verify", z2, "--mc-samples", "10000"])
+    assert (code, out) == (2, "")
+
+
+def test_evaluate_z_channel_lists_the_ladder(capsys, z2):
+    code, out, _ = run(capsys, ["evaluate", z2])
+    doc = json.loads(out)
+    assert code == 0 and doc["consistent"] is True
+    assert abs(doc["lower_bounds_bits"]["SUCC_DEC"] - (np.log2(1 + 1 / 1.16) + 1)) < 1e-12
+
+
 @pytest.mark.parametrize("command", ["evaluate", "certify", "sweep"])
 @pytest.mark.parametrize("flag", ["--seed", "--restarts", "--max-evals", "--tolerance"])
 def test_solver_settings_are_not_options(capsys, weak2, command, flag):

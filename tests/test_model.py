@@ -158,6 +158,8 @@ def test_parse_rejects_bool_dimension():
 def test_parse_rejects_future_schema():
     with pytest.raises(SchemaError):
         ifc.parse_channel_spec('{"schema_version": 2, "K": 1, "H": [[1]]}')
+    with pytest.raises(SchemaError, match="schema version"):
+        ifc.parse_channel_spec('{"schema_version": true, "K": 1, "H": [[1]]}')
 
 
 @pytest.mark.parametrize("text", [b"\xff", "[" * 100_000, '{"K": ' + "9" * 5000 + "}",
