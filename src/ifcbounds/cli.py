@@ -9,9 +9,8 @@ oracle mismatch, 2 invalid input (bad arguments, undecodable or invalid JSON,
 an unreadable file), 3 problem too large, 4 internal inconsistency or any
 unexpected error, which also prints its traceback.
 
-Two flags have environment-variable fallbacks: ``--families`` falls back to
-``IFC_FAMILIES`` and ``verify --seed`` to ``IFC_SEED``; an explicit flag always
-wins over the environment.  The bound solves themselves take no settings.
+Every input is a flag or a file.  ``--families`` defaults to every family
+and ``verify --seed`` to 0; the bound solves themselves take no settings.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import traceback
@@ -65,33 +63,15 @@ DEFAULT_MAX_STR_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------
-# option plumbing
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("/" + name, f"environment override {name}={raw!r} is not an integer")
-
+# input files
 
 def _load_json(path: str):
     with open(path, "rb") as fh:
         return _decode_json(fh.read())
 
 
-def _parse_channel(doc) -> ChannelMatrix:
-    """parse_channel_spec, refusing a noise-correlation document."""
-    ch = parse_channel_spec(doc)
-    if not isinstance(ch, ChannelMatrix):
-        raise SchemaError("/H", "expected a channel document with 'H', not a noise correlation")
-    return ch
-
-
 def _load_channel(path: str) -> ChannelMatrix:
-    return _parse_channel(_load_json(path))
+    return parse_channel_spec(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +79,7 @@ def _load_channel(path: str) -> ChannelMatrix:
 
 def _cmd_evaluate(args: argparse.Namespace) -> Tuple[str, int]:
     ch = _load_channel(args.channel)
-    families = args.families
-    if families is None:
-        families = os.environ.get("IFC_FAMILIES", FAMILIES)
-    rep = region(ch, families=families, sum_rate_only=args.sum_rate_only)
+    rep = region(ch, families=args.families, sum_rate_only=args.sum_rate_only)
     out = json.dumps(rep.to_json_dict(), indent=2) + "\n"
     return out, 0 if rep.consistent else 4
 
@@ -195,16 +172,13 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     pointers = [p.strip() for p in args.param.split(",") if p.strip()]
     if not pointers:
         raise SchemaError("/param", "at least one parameter pointer required")
-    if args.steps == 1:
-        values = np.array([args.start])
-    else:
-        values = np.linspace(args.start, args.stop, args.steps)
+    values = np.linspace(args.start, args.stop, args.steps)
     lines = ["parameter,upper_kra,upper_etw,tin_lower,gap"]
     for v in values:
         doc = json.loads(json.dumps(template))
         for ptr in pointers:
             _set_pointer(doc, ptr, float(v))
-        ch = _parse_channel(doc)
+        ch = parse_channel_spec(doc)
         rep = region(ch, sum_rate_only=True)
         up_kra = rep.per_family_sum_rate[FAMILY_KRA]
         up_etw = rep.per_family_sum_rate[FAMILY_ETW]
@@ -218,8 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
     ch = _load_channel(args.channel)
-    seed = args.seed if args.seed is not None else _env_int("IFC_SEED", 0)
-    n = args.mc_samples
+    seed, n = args.seed, args.mc_samples
     joint = build_joint(ch, identity_noise(ch.K))
     xs = [f"X{k}" for k in range(1, ch.K + 1)]
     ys = [f"Y{k}" for k in range(1, ch.K + 1)]
@@ -269,9 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate the outer bound for a channel spec")
     p_eval.add_argument("channel", help="path to a channel spec JSON file")
-    p_eval.add_argument("--families", default=None,
+    p_eval.add_argument("--families", default=FAMILIES,
                         help="comma-separated bound families (kra, etw; any case); "
-                             "falls back to IFC_FAMILIES")
+                             "default: both")
     p_eval.add_argument("--sum-rate-only", action="store_true",
                         help="bound only the sum rate (required for K > "
                              f"{FULL_REGION_MAX_K})")
@@ -298,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="Monte-Carlo spot checks of the analytic engine")
     p_ver.add_argument("channel", help="path to a channel spec JSON file")
     p_ver.add_argument("--mc-samples", type=int, default=200_000)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_cb = sub.add_parser("count-bounds", help="print the bound count N(K)")

@@ -8,7 +8,7 @@ the caller before building the channel (no silent rotation happens here).
 
 ``NoiseCorrelation`` is a unit-diagonal Hermitian PSD matrix giving the joint
 law of the receiver noises.  Bounds are free to choose it because capacity
-only depends on the noise marginals.
+only depends on the noise marginals, so no channel document carries it.
 
 All rates everywhere in the package are bits (log base 2) per complex use.
 """
@@ -89,13 +89,6 @@ class NoiseCorrelation:
 
     def __repr__(self) -> str:
         return f"NoiseCorrelation(K={self.K})"
-
-    def to_spec_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "K": self.K,
-            "Sigma": _to_pairs(self.sigma),
-        }
 
 
 def validate_channel(raw: Any) -> ChannelMatrix:
@@ -310,10 +303,6 @@ def serialize_channel(ch: ChannelMatrix) -> str:
     return json.dumps(ch.to_spec_dict(), indent=2) + "\n"
 
 
-def serialize_noise(nc: NoiseCorrelation) -> str:
-    return json.dumps(nc.to_spec_dict(), indent=2) + "\n"
-
-
 def _decode_json(text: Union[str, bytes]) -> Any:
     """The JSON document in text (bytes must be UTF-8).  Every way decoding
     fails is a SchemaError: bad syntax or UTF-8, an integer past Python's
@@ -360,12 +349,12 @@ def _want_matrix(node: Any, k: Optional[int], ptr: str) -> np.ndarray:
     return out
 
 
-def parse_channel_spec(doc: Union[str, bytes, Mapping]) -> Union[ChannelMatrix, NoiseCorrelation]:
-    """Parse a channel or noise-correlation document (JSON text or a dict).
+def parse_channel_spec(doc: Union[str, bytes, Mapping]) -> ChannelMatrix:
+    """Parse a channel document (JSON text or a dict): ``K``, ``H`` and an
+    optional ``schema_version``.
 
-    Exactly one of the keys ``H`` / ``Sigma`` selects the type.  Unknown keys
-    (provenance blocks and the like) are ignored.  Errors carry a JSON-pointer
-    to the offending location.
+    Unknown keys (provenance blocks and the like) are ignored.  Errors carry
+    a JSON-pointer to the offending location.
     """
     if isinstance(doc, (str, bytes)):
         doc = _decode_json(doc)
@@ -380,18 +369,10 @@ def parse_channel_spec(doc: Union[str, bytes, Mapping]) -> Union[ChannelMatrix, 
     k = doc["K"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise SchemaError("/K", "K must be a positive integer")
-    has_h = "H" in doc
-    has_s = "Sigma" in doc
-    if has_h == has_s:
-        raise SchemaError("", "document must contain exactly one of 'H' or 'Sigma'")
-    if has_h:
-        mat = _want_matrix(doc["H"], k, "/H")
-        try:
-            return validate_channel(mat)
-        except (NonSquare, NonFinite, NonPositiveDiagonal) as exc:
-            raise SchemaError("/H", str(exc)) from exc
-    mat = _want_matrix(doc["Sigma"], k, "/Sigma")
+    if "H" not in doc:
+        raise SchemaError("/H", "missing required key")
+    mat = _want_matrix(doc["H"], k, "/H")
     try:
-        return validate_noise_correlation(mat)
-    except (NonSquare, NonFinite, NotHermitian, NotUnitDiagonal, NotPSD) as exc:
-        raise SchemaError("/Sigma", str(exc)) from exc
+        return validate_channel(mat)
+    except (NonSquare, NonFinite, NonPositiveDiagonal) as exc:
+        raise SchemaError("/H", str(exc)) from exc

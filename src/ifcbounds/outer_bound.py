@@ -406,10 +406,11 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
         residual = 1.0 - abs(r) ** 2
         closed = LOG2PIE + float(np.log2(residual))
         # The Cholesky route's last pivot recovers ``residual`` by cancellation
-        # from Var(G_m), so its log-domain error is about eps Var(G_m)/residual:
-        # the fixed term covers Var(G_m)/residual up to about 1e5, the second
-        # the growth as |rho| approaches the cap.
-        tol = 1e-10 + 32.0 * np.finfo(float).eps / residual
+        # from Var(G_m), and G_m's regression on Y_k carries rho, so its
+        # log-domain error is about eps (Var(G_m) + |rho|^2 Var(Y_k)) / residual.
+        ig, iy = j.indices([f"G{m}", f"Y{k}"])
+        scale = j.cov[ig, ig].real + abs(r) ** 2 * j.cov[iy, iy].real
+        tol = 32.0 * np.finfo(float).eps * scale / residual
         if abs(second - closed) > tol:
             raise InternalConsistencyError(
                 f"residual genie entropy mismatch: cholesky {second!r} vs closed form {closed!r}")

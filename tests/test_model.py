@@ -112,25 +112,10 @@ def test_channel_round_trip_bit_exact():
     assert np.array_equal(back.entries, ch.entries)
 
 
-def test_noise_round_trip_bit_exact():
-    rng = np.random.default_rng(1)
-    nc = sample_interior_sigma(rng, 4)
-    back = ifc.parse_channel_spec(ifc.serialize_noise(nc))
-    assert isinstance(back, ifc.NoiseCorrelation)
-    assert np.array_equal(back.sigma, nc.sigma)
-
-
 def test_parse_z_channel_spec():
     doc = {"K": 2, "H": [[[1, 0], [0.5, 0]], [[0, 0], [2, 0]]]}
     ch = ifc.parse_channel_spec(json.dumps(doc))
     assert np.array_equal(ch.entries, np.array([[1.0, 0.5], [0.0, 2.0]]))
-
-
-def test_parse_identity_sigma_spec():
-    doc = {"K": 3, "Sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-    nc = ifc.parse_channel_spec(doc)
-    assert isinstance(nc, ifc.NoiseCorrelation)
-    assert np.array_equal(nc.sigma, np.eye(3))
 
 
 def test_parse_missing_k_pointer():
@@ -145,9 +130,14 @@ def test_parse_bad_entry_pointer():
     assert "/H/0/0" in str(exc.value)
 
 
-def test_parse_rejects_both_h_and_sigma():
-    with pytest.raises(SchemaError):
-        ifc.parse_channel_spec('{"K": 1, "H": [[1]], "Sigma": [[1]]}')
+def test_parse_reads_channels_only():
+    # a Sigma key is ignored like any unknown key; without H there is no channel
+    ch = ifc.parse_channel_spec('{"K": 1, "H": [[2]], "Sigma": [[1]]}')
+    assert isinstance(ch, ifc.ChannelMatrix)
+    assert np.array_equal(ch.entries, [[2.0]])
+    with pytest.raises(SchemaError) as exc:
+        ifc.parse_channel_spec({"K": 2, "Sigma": [[1.0, 0.3], [0.3, 1.0]]})
+    assert exc.value.pointer == "/H"
 
 
 def test_parse_rejects_bool_dimension():

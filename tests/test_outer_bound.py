@@ -446,24 +446,42 @@ def test_rejected_top_candidate_falls_through(monkeypatch):
 
 
 def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
-    # one E[Y_1 G_2^*] entry off by 1e-6 moves the residual variance of G_2 by
-    # ~1e-6; the closed form does not see it, so the two routes must disagree
-    ch = random_channel(np.random.default_rng(48), 2)
+    # one E[Y_1 G_2^*] entry off by offset moves the residual variance of G_2
+    # by about as much; the closed form does not see it, so the two routes
+    # must disagree.  At cross gains of 1000, Var(G_m) ~ 1e6 widens the
+    # tolerance to ~1e-8 bits, still far below a 1e-4 error.
     t = ifc.BoundTerm((1, 2), (2, 1))
     rhos = (0.5 + 0.2j, 0.0)
-    ifc.etw_term_value(ch, t, rhos)  # the honest joint passes
+    for ch, offset in ((random_channel(np.random.default_rng(48), 2), 1e-6),
+                       (ifc.validate_channel(np.array([[1.0, 1e3], [1e3, 1.0]])), 1e-4)):
+        ifc.etw_term_value(ch, t, rhos)  # the honest joint passes
 
-    def doctored(ch_, noise, genies):
-        j = build_joint(ch_, noise, genies)
-        cov = np.array(j.cov)
-        iy, ig = j.indices(["Y1", "G2"])
-        cov[iy, ig] += 1e-6
-        cov[ig, iy] = np.conj(cov[iy, ig])
-        return make_joint(j.labels, cov)
+        def doctored(ch_, noise, genies, offset=offset):
+            j = build_joint(ch_, noise, genies)
+            cov = np.array(j.cov)
+            iy, ig = j.indices(["Y1", "G2"])
+            cov[iy, ig] += offset
+            cov[ig, iy] = np.conj(cov[iy, ig])
+            return make_joint(j.labels, cov)
 
-    monkeypatch.setattr(outer_bound, "build_joint", doctored)
-    with pytest.raises(InternalConsistencyError, match="residual genie entropy mismatch: cholesky"):
-        ifc.etw_term_value(ch, t, rhos)
+        with monkeypatch.context() as m:
+            m.setattr(outer_bound, "build_joint", doctored)
+            with pytest.raises(InternalConsistencyError,
+                               match="residual genie entropy mismatch: cholesky"):
+                ifc.etw_term_value(ch, t, rhos)
+
+
+def test_genie_residual_check_holds_at_large_cross_gains():
+    # cross gains up to ~2000 make the Cholesky route's error scale with
+    # Var(G_m) and |rho|^2 Var(Y_k); no honest term may trip the check
+    rng = np.random.default_rng(70)
+    for K in (2, 3) * 15:
+        H = 10 ** rng.uniform(1, 3.3, (K, K)) * np.exp(2j * np.pi * rng.random((K, K)))
+        np.fill_diagonal(H, 1.0)
+        ch = ifc.validate_channel(H)
+        for t in ifc.enumerate_terms(K):
+            assert np.isfinite(ifc.etw_term_min(ch, t)[0])
+            ifc.etw_term_value(ch, t, [0.9 * np.exp(1j * k) for k in range(t.size)])
 
 
 def test_etw_zero_rho_guard_beats_a_poor_pair_rho(monkeypatch):
