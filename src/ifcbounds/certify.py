@@ -2,20 +2,22 @@
 
 A certificate is issued when an upper bound and an achievable rate coincide
 to within 1e-9 bits.  Three routes are tried in a fixed order, so results are
-reproducible and the cheap analytic routes win over the numeric one:
+reproducible and the cheap analytic routes win over the numeric one.  The
+first two share one check (``_ladder_certificate``): a bound meets the
+successive-decoding ladder.
 
-1. DEGRADED — the gain matrix is numerically unit-rank; the pooled-transmitter
-   (broadcast) bound meets the successive-decoding ladder.
-2. The ladder route — inverting the coupling recursion on the upper entries
-   (``construct.recover_noise_correlation``) yields a feasible noise
+1. DEGRADED — the gain matrix is numerically unit-rank; the bound is the
+   pooled-transmitter (broadcast) bound.
+2. The recovery route — inverting the coupling recursion on the upper
+   entries (``construct.recover_noise_correlation``) yields a feasible noise
    correlation, under which earlier outputs are degraded versions of later
    ones by construction (so this is not checked separately); the ladder
    rates survive every per-receiver joint decoding of the earlier users that
-   receiver hears, so they are achievable; and the correlated-noise bound at
-   the recovered coupling meets the ladder.  The certificate is labelled
-   Z_THEOREM2 when the gains are strictly upper triangular (no receiver hears
-   an earlier user, so the decoding check holds trivially) and MAC_THEOREM3
-   otherwise.
+   receiver hears, so they are achievable; and the bound is the
+   correlated-noise bound at the recovered coupling.  The certificate is
+   labelled Z_THEOREM2 when the gains are strictly upper triangular (no
+   receiver hears an earlier user, so the decoding check holds trivially)
+   and MAC_THEOREM3 otherwise.
 3. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
    agree within tolerance.
 
@@ -27,7 +29,7 @@ route calls it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +66,7 @@ from .model import (
 from .outer_bound import (
     FAMILY_KRA,
     BoundTerm,
-    _etw_summand,
-    _etw_summand_data,
+    _etw_closed_form,
     kra_term_value,
     region,
 )
@@ -91,11 +92,8 @@ def _rank_one_factors(H: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 def _ladder_by_information(ch: ChannelMatrix) -> float:
     """Successive-decoding ladder recomputed as conditional informations."""
     j = build_joint(ch, identity_noise(ch.K))
-    total = 0.0
-    for k in range(1, ch.K + 1):
-        total += conditional_mi(j, [f"Y{k}"], [f"X{k}"],
-                                [f"X{i}" for i in range(1, k)])
-    return total
+    return sum(conditional_mi(j, [f"Y{k}"], [f"X{k}"], [f"X{i}" for i in range(1, k)])
+               for k in range(1, ch.K + 1))
 
 
 def _tin_by_information(ch: ChannelMatrix) -> float:
@@ -126,8 +124,7 @@ def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
         idx = np.ix_([p - 1 for p in perm], [p - 1 for p in perm])
         return _term_by_entropies(validate_channel(ch.entries[idx]),
                                   validate_noise_correlation(ineq.witness["sigma"][idx]))
-    return sum(_etw_summand(r, *_etw_summand_data(ch.entries, k, m))
-               for k, m, r in zip(ineq.subset, perm, ineq.witness["rhos"]))
+    return _etw_closed_form(ch.entries, BoundTerm(ineq.subset, perm))[0](ineq.witness["rhos"])
 
 
 def _recheck(upper: float, upper2: float, lower: float, lower2: float) -> None:
@@ -141,31 +138,27 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _ladder_certificate(ch: ChannelMatrix, recovered: NoiseCorrelation, path: str,
+def _ladder_certificate(ch: ChannelMatrix, name: str, upper_by: Callable[[], float],
+                        second_route: Callable[[], float], path: str,
                         details: List[str]) -> Optional[Certificate]:
-    """Natural-order full-set bound at the recovered coupling against the
-    successive-decoding ladder.
-
-    Returns the re-verified certificate when they meet; otherwise records the
-    miss in ``details`` and returns None.
-    """
-    full = tuple(range(1, ch.K + 1))
+    """The bound ``upper_by`` computes against the successive-decoding ladder
+    of ``ch``: the certificate, re-verified through ``second_route``, when
+    they meet; else None, with the miss or a degenerate joint law in details."""
     lower = tin_sum_rate(ch)
     try:
-        upper = kra_term_value(ch, recovered, BoundTerm(full, full))
+        upper = upper_by()
         gap = upper - lower
         if abs(gap) > CERT_TOL:
-            details.append(f"bound at the recovered coupling missed the ladder by {gap:.3e} bits")
+            details.append(f"{name} missed the ladder by {gap:.3e} bits")
             return None
-        upper2 = _term_by_entropies(ch, recovered)
+        upper2 = second_route()
     except SingularCovariance:
         # a gain matrix of deficient rank can recover a coupling on the cone
         # boundary; the joint law degenerates and this route cannot speak
-        details.append("bound at the recovered coupling is degenerate, route skipped")
+        details.append(f"{name} is degenerate, route skipped")
         return None
     _recheck(upper, upper2, lower, _ladder_by_information(ch))
-    details.append(f"ladder value {_fmt(lower)} bits met by the bound at the recovered "
-                   f"coupling (gap {gap:.3e})")
+    details.append(f"{name} {_fmt(upper)} bits meets the ladder (gap {gap:.3e})")
     return Certificate(CERTIFIED, path, gap, upper, lower, tuple(details))
 
 
@@ -181,20 +174,15 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
     factors = _rank_one_factors(H)
     details.append(f"unit-rank gain matrix: {'yes' if factors is not None else 'no'}")
     if factors is not None:
-        a, b = factors
-        order = np.argsort(np.abs(a), kind="stable")
+        order = np.argsort(np.abs(factors[0]), kind="stable")
+        a, b = factors[0][order], factors[1][order]
         sorted_ch = validate_channel(H[np.ix_(order, order)])
-        upper = degraded_sum_capacity(a[order], b[order])
-        lower = tin_sum_rate(sorted_ch)
-        gap = upper - lower
-        if abs(gap) <= CERT_TOL:
-            _recheck(upper,
-                     degraded_chain_sum_rate(a[order], np.diagonal(sorted_ch.entries).real),
-                     lower, _ladder_by_information(sorted_ch))
-            details.append(f"pooled-transmitter bound {_fmt(upper)} bits meets the "
-                           f"ladder (gap {gap:.3e})")
-            return Certificate(CERTIFIED, PATH_DEGRADED, gap, upper, lower, tuple(details))
-        details.append(f"pooled-transmitter bound missed the ladder by {gap:.3e} bits")
+        cert = _ladder_certificate(
+            sorted_ch, "pooled-transmitter bound", lambda: degraded_sum_capacity(a, b),
+            lambda: degraded_chain_sum_rate(a, np.diagonal(sorted_ch.entries).real),
+            PATH_DEGRADED, details)
+        if cert is not None:
+            return cert
 
     recovered = recover_noise_correlation(ch)
     details.append("noise-coupling recovery from upper triangle: "
@@ -210,7 +198,11 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
                            f"{'feasible' if mac.feasible else f'{len(mac.violations)} violations'}")
         if mac is not None and mac.feasible:
             path = PATH_Z if np.all(np.tril(H, -1) == 0) else PATH_MAC
-            cert = _ladder_certificate(ch, recovered, path, details)
+            users = tuple(range(1, ch.K + 1))
+            cert = _ladder_certificate(
+                ch, "bound at the recovered coupling",
+                lambda: kra_term_value(ch, recovered, BoundTerm(users, users)),
+                lambda: _term_by_entropies(ch, recovered), path, details)
             if cert is not None:
                 return cert
 
@@ -222,10 +214,7 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
     details.append(f"optimized sum-rate bound {_fmt(upper)} bits vs best achievable "
                    f"({lower_name}) {_fmt(lower)} bits")
     if abs(gap) <= CERT_TOL:
-        if lower_name == "SUCC_DEC":
-            lower2 = _ladder_by_information(ch)
-        else:
-            lower2 = _tin_by_information(ch)
+        lower2 = (_ladder_by_information if lower_name == "SUCC_DEC" else _tin_by_information)(ch)
         _recheck(upper, _sum_rate_by_second_route(ch, rep.inequalities[-1]), lower, lower2)
         return Certificate(CERTIFIED, PATH_NUMERIC, gap, upper, lower,
                            tuple(details), warnings=rep.warnings)

@@ -29,7 +29,7 @@ from .model import ChannelMatrix, JointGaussian, NoiseCorrelation, make_joint
 LOG2PIE = float(np.log2(np.pi * np.e))
 
 #: relative singularity cutoff: a conditional variance (Cholesky pivot) at or
-#: below EIG_TOL times its unconditional variance makes a covariance singular
+#: below EIG_TOL times its unconditional variance is lost to round-off
 EIG_TOL = 1e-12
 
 #: genie noise correlation magnitudes are capped strictly inside the unit disc
@@ -130,10 +130,11 @@ def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarra
         raise SingularCovariance(
             f"joint cov of {list(c)} and {list(a)} is not positive definite") from None
     pivots = np.diagonal(L)[len(c):].real ** 2
-    if np.any(pivots <= EIG_TOL * np.diagonal(block)[len(c):].real):
+    var = np.diagonal(block)[len(c):].real
+    if np.any(pivots <= EIG_TOL * var):
         raise SingularCovariance(
-            f"cov of {list(a)} given {list(c)} has near-zero pivot {pivots.min():.3e} "
-            "(deterministic relation)")
+            f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
+            f"its variance ({np.min(pivots / var):.3e} of it), lost to round-off")
     return L
 
 

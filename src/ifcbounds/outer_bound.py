@@ -22,12 +22,13 @@ it feasible by construction.  It starts from the coupling recursion's
 inverse (``construct.invert_coupling_recursion``) when that is PSD: on a
 constructed channel it is the exact minimizer.  That BFGS solve is the
 module's only use of scipy, which is imported on its first call
-(``minimize``).  Candidates are ranked by these fast forms; only the returned
-witness is re-scored through the reference route (``kra_term_value`` /
-``etw_term_value``).  A key reduction used throughout: conditioning on the
-inputs outside S makes a term depend only on the |S| x |S| subchannel
-H[pi, pi] and the matching block of the noise correlation, so every search
-runs in the reduced space and the witness is embedded back at the end.
+(``minimize``).  Candidates are ranked by these fast forms and re-scored in
+that order through the reference route (``kra_term_value`` /
+``etw_term_value``) until one is accepted (``_first_scored``).  A key
+reduction used throughout: conditioning on the inputs outside S makes a term
+depend only on the |S| x |S| subchannel H[pi, pi] and the matching block of
+the noise correlation, so every search runs in the reduced space and the
+witness is embedded back at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -315,18 +316,18 @@ def _factored_min_sigma(sigma0: np.ndarray, grams) -> np.ndarray:
     return U @ U.conj().T
 
 
-def _first_scored(ch: ChannelMatrix, t: BoundTerm,
-                  sigmas: Iterable[np.ndarray]) -> Tuple[float, Optional[NoiseCorrelation]]:
-    """Value and witness of the first reduced coupling kra_term_value can score."""
-    for sig in sigmas:
-        noise = _embed_sigma(sig, t, ch.K)
-        try:
-            return kra_term_value(ch, noise, t), noise
-        except (SingularCovariance, InternalConsistencyError):
-            # a candidate that lands on (or numerically past) the boundary of
-            # the PSD cone is worthless as a witness, not a caller error
-            continue
-    return np.inf, None
+def _first_scored(ranked: Sequence, score: Callable):
+    """(value, witness) from ``score``, the family's reference route, at the
+    first fast-form-ranked candidate it accepts; it refuses one on or past the
+    feasible boundary (SingularCovariance, InternalConsistencyError).  When it
+    refuses all, the last refusal is raised, chained to the earlier ones."""
+    head, *rest = ranked
+    try:
+        return score(head)
+    except (SingularCovariance, InternalConsistencyError):
+        if not rest:
+            raise
+        return _first_scored(rest, score)
 
 
 def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelation]:
@@ -341,7 +342,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
     from the identity, and its end point is blended toward the identity to
     the smallest eigenvalue EIG_FLOOR.  That, the identity, the pair coupling
     and the PSD warm start are ranked by the telescoped value (stably, so the
-    identity wins ties), and the first kra_term_value accepts is returned.
+    identity wins ties) and re-scored through kra_term_value by _first_scored.
     """
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
@@ -359,7 +360,11 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
         end = _factored_min_sigma(candidates[-1], grams)  # the warm start if PSD
         candidates.append(_floor_eig(end, EIG_FLOOR))
     candidates.sort(key=lambda sig: _lean_kra_value(sig, grams))
-    return _first_scored(ch, t, candidates)
+
+    def score(sig):
+        noise = _embed_sigma(sig, t, ch.K)
+        return kra_term_value(ch, noise, t), noise
+    return _first_scored(candidates, score)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +386,16 @@ def _etw_summand(rho: complex, vy: float, vg: float, c0: complex) -> float:
     if num <= 0 or den <= 0:
         return np.inf
     return float(np.log2(num) - np.log2(den))
+
+
+def _etw_closed_form(H: np.ndarray, t: BoundTerm) -> Tuple[Callable, Tuple[complex, ...]]:
+    """The genie term of t in closed form: its value (bits) as a function of
+    the correlations, and the _pair_rho minimizer of each summand."""
+    data = [_etw_summand_data(H, k, m) for k, m in zip(t.subset, t.perm)]
+
+    def value(rhos: Sequence[complex]) -> float:
+        return sum(_etw_summand(r, *d) for r, d in zip(rhos, data))
+    return value, tuple(_pair_rho(vy * vg, c0) for vy, vg, c0 in data)
 
 
 def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> float:
@@ -425,18 +440,12 @@ def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex,
     Up to the constant -log2(v_g), a summand is
     log2(v_y v_g - |c0 + rho|^2) - log2(1 - |rho|^2), and Cauchy-Schwarz gives
     v_y v_g >= (1 + |c0|)^2, so _pair_rho returns its exact minimizer.
-    rho = 0 competes with those minimizers on the closed-form summand sum and
-    wins ties; only the winner is re-scored through etw_term_value.
+    rho = 0 and those minimizers are ranked by the closed form (stably, so
+    rho = 0 wins ties) and re-scored through etw_term_value by _first_scored.
     """
-    data = [_etw_summand_data(ch.entries, k, m) for k, m in zip(t.subset, t.perm)]
-
-    def closed(rhos):
-        return sum(_etw_summand(r, *d) for r, d in zip(rhos, data))
-
-    zeros = tuple(0j for _ in data)
-    best = tuple(_pair_rho(vy * vg, c0) for vy, vg, c0 in data)
-    rhos = zeros if closed(zeros) <= closed(best) else best
-    return etw_term_value(ch, t, rhos), rhos
+    closed, best = _etw_closed_form(ch.entries, t)
+    ranked = sorted([tuple(0j for _ in best), best], key=closed)
+    return _first_scored(ranked, lambda rhos: (etw_term_value(ch, t, rhos), rhos))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 import ifcbounds as ifc
 import ifcbounds.certify as certify
+import ifcbounds.outer_bound as outer_bound
 from ifcbounds.certify import (
     BOUND_ONLY,
     CERTIFIED,
@@ -195,8 +196,30 @@ def test_numeric_match(H, family, perm):
 def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, H, family, perm):
     # region scores the winner by kra_term_value / etw_term_value; the recheck
     # must reach the entropy chain (KRA) or the closed-form summands (ETW)
-    name = "_term_by_entropies" if family == "KRA" else "_etw_summand"
+    owner, name = ((certify, "_term_by_entropies") if family == "KRA"
+                   else (outer_bound, "_etw_summand"))
+    route = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: route(*args) + 1e-6)
+    with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
+        ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
+
+
+# a certificate of each ladder theorem, and the second routes its re-check reaches
+LADDER_RECHECKS = [
+    ([[1.0, 1.0], [1.0, 1.0]], PATH_DEGRADED, "degraded_chain_sum_rate"),
+    ([[1.0, 1.0], [1.0, 1.0]], PATH_DEGRADED, "_ladder_by_information"),
+    ([[1.0, 0.4], [0.0, 1.0]], PATH_Z, "_term_by_entropies"),
+    ([[1.0, 0.4], [0.0, 1.0]], PATH_Z, "_ladder_by_information"),
+    ([[1.0, 0.5], [2.5, 2.0]], PATH_MAC, "_term_by_entropies"),
+    ([[1.0, 0.5], [2.5, 2.0]], PATH_MAC, "_ladder_by_information"),
+]
+
+
+@pytest.mark.parametrize("H, path, name", LADDER_RECHECKS)
+def test_ladder_certificates_are_rechecked_by_a_second_route(monkeypatch, H, path, name):
+    ch = ifc.validate_channel(np.array(H))
+    assert ifc.certify_sum_capacity(ch).path == path
     route = getattr(certify, name)
     monkeypatch.setattr(certify, name, lambda *args: route(*args) + 1e-6)
     with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
-        ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
+        ifc.certify_sum_capacity(ch)

@@ -354,3 +354,14 @@ def test_count_bounds_cap_is_checked_before_counting(capsys):
     code, out, _ = run(capsys, ["count-bounds", "1000000"])
     assert code == 3 and out == ""
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "certify"])
+def test_huge_gains_exit_two_without_traceback(capsys, tmp_path, command):
+    # at cross gains of 1e6 every witness of the pair terms loses its
+    # conditional variance to round-off, so no bound can be scored
+    code, out, err = run(capsys, [command, spec_file(tmp_path, "huge.json",
+                                                     [[1.0, 1e6], [1e6, 1.0]])])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

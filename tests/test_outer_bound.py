@@ -445,6 +445,44 @@ def test_rejected_top_candidate_falls_through(monkeypatch):
     assert val >= best - 1e-12
 
 
+def test_rejected_top_genie_candidate_falls_through(monkeypatch):
+    ch = random_channel(np.random.default_rng(46), 3)
+    t = ifc.BoundTerm((1, 2, 3), (2, 3, 1))
+    reference = outer_bound.etw_term_value
+    best, _ = ifc.etw_term_min(ch, t)
+    scored = []
+
+    def reject_first(ch_, t_, rhos):
+        scored.append(rhos)
+        if len(scored) == 1:
+            raise InternalConsistencyError("doctored dual-route disagreement")
+        return reference(ch_, t_, rhos)
+
+    monkeypatch.setattr(outer_bound, "etw_term_value", reject_first)
+    val, wit = ifc.etw_term_min(ch, t)
+    assert len(scored) == 2 and wit is scored[1] and scored[0] != scored[1]
+    assert reference(ch, t, scored[0]) == best  # the rejected one was the top-ranked
+    assert val == reference(ch, t, scored[1])
+    assert val >= best - 1e-12
+
+
+@pytest.mark.parametrize("family, size", [("kra", 2), ("kra", 3), ("etw", 2)])
+def test_every_candidate_refused_raises_the_last_refusal(monkeypatch, family, size):
+    refusals = []
+
+    def refuse(*args):
+        refusals.append(InternalConsistencyError(f"refusal {len(refusals) + 1}"))
+        raise refusals[-1]
+
+    monkeypatch.setattr(outer_bound, f"{family}_term_value", refuse)
+    t = ifc.BoundTerm(tuple(range(1, size + 1)), tuple(range(size, 0, -1)))
+    term_min = ifc.kra_term_min if family == "kra" else ifc.etw_term_min
+    with pytest.raises(InternalConsistencyError) as info:
+        term_min(random_channel(np.random.default_rng(47), size), t)
+    assert len(refusals) >= 2 and info.value is refusals[-1]
+    assert info.value.__context__ is refusals[-2]  # chained to the earlier refusals
+
+
 def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
     # one E[Y_1 G_2^*] entry off by offset moves the residual variance of G_2
     # by about as much; the closed form does not see it, so the two routes
