@@ -155,6 +155,13 @@ def regression_coefficients(j: JointGaussian, targets: Sequence[str],
     return np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
 
 
+def _check_disjoint(a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> None:
+    """Raise LabelOverlap if any two of the label sets A, B, C share a label."""
+    overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
+    if overlap:
+        raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
+
+
 def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
     """Differential entropy h(A) in bits: |A| log2(pi e) + log2 det Sigma_A."""
     return conditional_entropy(j, a, [])
@@ -182,9 +189,7 @@ def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     a, b, c = list(a), list(b), list(c)
     if not a or not b:
         raise LabelOverlap("A and B must be nonempty")
-    overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
-    if overlap:
-        raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
+    _check_disjoint(a, b, c)
     mi = _cond_logdet(j, a, c) - _cond_logdet(j, a, b + c)
     if mi < 0.0:
         if mi > -1e-9:

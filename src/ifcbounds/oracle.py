@@ -4,7 +4,9 @@ Nothing here sits on the main computation path.  The Monte-Carlo estimator
 checks the covariance assembly and the Cholesky route by sampling; the
 four-entropy identity recomputes conditional information from eigenvalue sums
 of four joint blocks, independent of that route; the exhaustive grid checks
-the local optimizer on small problems with explicit 1x1/2x2/3x3 determinants.
+the local optimizer on terms of at most three users, on a channel of any
+size, through one explicit 1x1/2x2/3x3 determinant evaluator shared by its
+scan and its refinement.
 
 Sampling uses a counter-based generator (Philox) driving inverse-CDF normals,
 a portable, named recipe: u ~ U(0,1), z = (ndtri(u1) + i ndtri(u2)) / sqrt(2).
@@ -19,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import LabelOverlap, SingularCovariance, TooLarge, ValidationError
-from .gaussian_info import LOG2PIE
+from .gaussian_info import LOG2PIE, _check_disjoint
 from .model import ChannelMatrix, JointGaussian, NoiseCorrelation
 from .outer_bound import BoundTerm, _embed_sigma, _reduced_channel
 
@@ -48,9 +50,7 @@ def entropy_identity_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
                         c: Sequence[str] = ()) -> float:
     """I(A;B|C) = h(A,C) + h(B,C) - h(C) - h(A,B,C), eigenvalue route."""
     a, b, c = list(a), list(b), list(c)
-    overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
-    if overlap:
-        raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
+    _check_disjoint(a, b, c)
     return (_entropy_eig(j, a + c) + _entropy_eig(j, b + c)
             - _entropy_eig(j, c) - _entropy_eig(j, a + b + c))
 
@@ -101,11 +101,9 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     and conditioning chain, not the entropy formula.
     """
     a, b, c = list(a), list(b), list(c)
-    overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
     if not a or not b:
         raise LabelOverlap("A and B must be nonempty")
-    if overlap:
-        raise LabelOverlap(f"label sets overlap: {sorted(overlap)}")
+    _check_disjoint(a, b, c)
     if n_samples < MIN_SAMPLES:
         raise ValidationError(f"n_samples must be at least {MIN_SAMPLES}")
     if seed < 0:
@@ -181,23 +179,26 @@ class CorrelationAngles:
             for l, h in self.bounds
         ]
 
-    def factor(self, x: np.ndarray) -> np.ndarray:
-        L = np.eye(self.dim, dtype=complex)
-        pos = 0
-        for k in range(2, self.dim + 1):
-            m = k - 1
-            th = x[pos:pos + m]
-            ph = x[pos + m:pos + 2 * m]
+    def rows(self, x) -> List[list]:
+        """Rows of L, row k holding its k + 1 entries (the last one real).
+
+        Row k reads its k polar angles and then its k phases from x; the
+        angles may be arrays, and the entries then broadcast.
+        """
+        out, pos = [[1.0]], 0
+        for m in range(1, self.dim):
+            row, run = [], 1.0
+            for th, ph in zip(x[pos:pos + m], x[pos + m:pos + 2 * m]):
+                row.append(np.exp(1j * ph) * np.cos(th) * run)
+                run = run * np.sin(th)
+            out.append(row + [run])
             pos += 2 * m
-            run = 1.0
-            for j in range(m):
-                L[k - 1, j] = np.exp(1j * ph[j]) * np.cos(th[j]) * run
-                run *= np.sin(th[j])
-            L[k - 1, k - 1] = run
-        return L
+        return out
 
     def sigma(self, x: np.ndarray) -> np.ndarray:
-        L = self.factor(x)
+        L = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, row in enumerate(self.rows(x)):
+            L[k, :k + 1] = row
         s = L @ L.conj().T
         np.fill_diagonal(s, 1.0)
         return s
@@ -212,150 +213,88 @@ def _det3(d1, d2, d3, e12, e13, e23):
             - d1 * np.abs(e23) ** 2 - d2 * np.abs(e13) ** 2 - d3 * np.abs(e12) ** 2)
 
 
-def _explicit_term_value(x: np.ndarray, Hr: np.ndarray, par: CorrelationAngles) -> float:
-    """Scalar objective on the angle vector, explicit determinant formulas."""
+def _lead_det(d, e, n: int):
+    """det of the leading n x n block (n <= 3) of the Hermitian matrix with
+    diagonal d and entries e[i, j] above it."""
+    if n < 2:
+        return d[0] if n else 1.0
+    if n == 2:
+        return _det2(d[0], d[1], e[0, 1])
+    return _det3(d[0], d[1], d[2], e[0, 1], e[0, 2], e[1, 2])
+
+
+def _explicit_value(Hr: np.ndarray, L: List[list]):
+    """Telescoped term value at Sigma = L L^H, L given by its rows.
+
+    Each k-th top block is Sigma_k plus the Gram matrix of Hr[:k, k-1:], and
+    its bottom block is the leading (k-1) x (k-1) corner of it; det Sigma is
+    the product of L's squared diagonal.  Array entries broadcast, and points
+    off the cone give inf.
+    """
     s = Hr.shape[0]
-    sigma = par.sigma(x)
-    grams = []
-    for k in range(1, s + 1):
-        tail = Hr[:k, k - 1:]
-        grams.append(tail @ tail.conj().T)
-    val = 0.0
-    for k in range(1, s + 1):
-        top_m = sigma[:k, :k] + grams[k - 1]
-        if k == 1:
-            top = top_m[0, 0].real
-        elif k == 2:
-            top = _det2(top_m[0, 0].real, top_m[1, 1].real, top_m[0, 1])
-        else:
-            top = _det3(top_m[0, 0].real, top_m[1, 1].real, top_m[2, 2].real,
-                        top_m[0, 1], top_m[0, 2], top_m[1, 2])
-        # bottom: same tail columns, last row dropped
-        tail = Hr[:k - 1, k - 1:]
-        bm = sigma[:k - 1, :k - 1] + tail @ tail.conj().T
-        if k == 1:
-            bot = 1.0
-        elif k == 2:
-            bot = bm[0, 0].real
-        else:
-            bot = _det2(bm[0, 0].real, bm[1, 1].real, bm[0, 1])
-        if top <= 0 or bot <= 0:
-            return np.inf
-        val += np.log2(top) - np.log2(bot)
-    if s == 1:
-        den = 1.0
-    elif s == 2:
-        den = _det2(1.0, 1.0, sigma[0, 1])
-    else:
-        den = _det3(1.0, 1.0, 1.0, sigma[0, 1], sigma[0, 2], sigma[1, 2])
-    if den <= 0:
-        return np.inf
-    return float(val - np.log2(den))
-
-
-def _theta_axis(resolution: int) -> np.ndarray:
-    # pi/2 (identity) first so a resolution-1 grid degenerates to it
-    return np.linspace(np.pi / 2, THETA_MIN, resolution)
-
-
-def _phi_axis(resolution: int) -> np.ndarray:
-    return np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    sig = {(i, j): sum(L[i][k] * np.conj(L[j][k]) for k in range(i + 1))
+           for j in range(s) for i in range(j)}
+    val, ok, det_sigma = 0.0, True, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, s + 1):
+            tail = Hr[:k, k - 1:]
+            m = tail @ tail.conj().T
+            d = [1.0 + m[i, i].real for i in range(k)]
+            e = {(i, j): v + m[i, j] for (i, j), v in sig.items() if j < k}
+            top, bot = _lead_det(d, e, k), _lead_det(d, e, k - 1)
+            ok = ok & (bot > 0) & (top > 0)
+            val = val + np.log2(top) - np.log2(bot)
+            det_sigma = det_sigma * L[k - 1][k - 1] ** 2
+        return np.where(ok & (det_sigma > 0), val - np.log2(det_sigma), np.inf)
 
 
 def grid_min_sigma(ch: ChannelMatrix, t: BoundTerm,
                    resolution: int) -> Tuple[float, NoiseCorrelation]:
     """Exhaustive scan of the noise-correlation angles plus local refinement.
 
-    Supports subset sizes up to 3 (2 angle parameters for size 2, 6 for
-    size 3).  Vectorized with explicit Hermitian determinant formulas, so it
-    shares no evaluation code with the BFGS solve it validates.
+    Supports terms of up to 3 users on any K (2 angle parameters for size 2,
+    6 for size 3).  Vectorized with explicit Hermitian determinant formulas,
+    so it shares no evaluation code with the BFGS solve it validates.
     """
-    if ch.K > 3:
+    if t.size > 3:
         raise TooLarge("grid search supports at most 3 users")
     if resolution < 1:
         raise ValidationError("resolution must be >= 1")
-    Hr = _reduced_channel(ch, t)
-    s = Hr.shape[0]
-    par = CorrelationAngles(s)
-
-    if s == 1:
-        val = float(np.log2(1.0 + abs(Hr[0, 0]) ** 2))
-        return val, _embed_sigma(np.eye(1, dtype=complex), t, ch.K)
-
+    s = t.size
     if s == 2 and resolution > 2000:
         raise TooLarge("resolution capped at 2000 for 2-user grids")
     if s == 3 and resolution > 32:
         raise TooLarge("resolution capped at 32 for 3-user grids")
+    Hr = _reduced_channel(ch, t)
+    par = CorrelationAngles(s)
 
-    th = _theta_axis(resolution)
-    ph = _phi_axis(resolution)
+    from itertools import product
+    # pi/2 (identity) first so a resolution-1 grid degenerates to it
+    th = np.linspace(np.pi / 2, THETA_MIN, resolution)
+    ph = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    # the earlier rows' angles are scanned in an outer loop; the last row's
+    # (theta_j, phi_j) axes are evaluated as one broadcast batch per iteration
+    last = np.ix_(*[th, ph] * (s - 1))
+    last_x = list(last[0::2]) + list(last[1::2])
+    shape = (resolution,) * len(last)
+    earlier = [ax for m in range(1, s - 1) for ax in [th] * m + [ph] * m]
     candidates: List[Tuple[float, np.ndarray]] = []
-
-    if s == 2:
-        a = Hr[:, 1:] @ Hr[:, 1:].conj().T
-        c1 = np.log2(1.0 + float(np.sum(np.abs(Hr[0]) ** 2)))
-        tt, pp = np.meshgrid(th, ph, indexing="ij")
-        # entry [0,1] of L L^H is the conjugate of the factor entry
-        sig = np.cos(tt) * np.exp(-1j * pp)
-        det2 = (1.0 + a[0, 0].real) * (1.0 + a[1, 1].real) - np.abs(sig + a[0, 1]) ** 2
-        den = np.sin(tt) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = c1 + np.log2(det2) - np.log2(1.0 + a[0, 0].real) - np.log2(den)
-        vals = np.where((det2 > 0) & (den > 0), vals, np.inf)
-        flat = np.argsort(vals.ravel(), kind="stable")[:5]
-        for fi in flat:
-            i, k = np.unravel_index(fi, vals.shape)
-            candidates.append((float(vals[i, k]), np.array([tt[i, k], pp[i, k]])))
-    else:
-        # row-2 parameters scanned in an outer loop; the four row-3 axes are
-        # evaluated as one broadcast batch per iteration
-        a2 = Hr[:2, 1:] @ Hr[:2, 1:].conj().T
-        m3 = Hr[:, 2:] @ Hr[:, 2:].conj().T
-        c1 = np.log2(1.0 + float(np.sum(np.abs(Hr[0]) ** 2)))
-        b2c = 1.0 + float(np.sum(np.abs(Hr[0, 1:]) ** 2))
-        d1, d2, d3 = 1.0 + m3[0, 0].real, 1.0 + m3[1, 1].real, 1.0 + m3[2, 2].real
-
-        cos31 = np.cos(th)[:, None, None, None]
-        sin31 = np.sin(th)[:, None, None, None]
-        ph31 = np.exp(1j * ph)[None, :, None, None]
-        cos32 = np.cos(th)[None, None, :, None]
-        sin32 = np.sin(th)[None, None, :, None]
-        ph32 = np.exp(1j * ph)[None, None, None, :]
-        l31 = cos31 * ph31
-        l32 = sin31 * cos32 * ph32
-        sin_prod = sin31 * sin32
-
-        for i2, t2 in enumerate(th):
-            for j2, p2 in enumerate(ph):
-                l21 = np.cos(t2) * np.exp(1j * p2)
-                l22 = np.sin(t2)
-                # sigma entries from L L^H: [0,1] = conj(l21), [0,2] = conj(l31),
-                # [1,2] = l21 conj(l31) + l22 conj(l32)
-                s12 = np.conj(l21)
-                det2_a = _det2(1.0 + a2[0, 0].real, 1.0 + a2[1, 1].real, s12 + a2[0, 1])
-                det2_b = _det2(1.0 + m3[0, 0].real, 1.0 + m3[1, 1].real, s12 + m3[0, 1])
-                if det2_a <= 0 or det2_b <= 0 or l22 == 0:
-                    continue
-                base = (c1 + np.log2(det2_a) - np.log2(b2c) - np.log2(det2_b))
-                e12 = s12 + m3[0, 1]
-                e13 = np.conj(l31) + m3[0, 2]
-                e23 = l21 * np.conj(l31) + l22 * np.conj(l32) + m3[1, 2]
-                det3 = _det3(d1, d2, d3, e12, e13, e23)
-                den = (l22 * sin_prod) ** 2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = base + np.log2(det3) - np.log2(den)
-                vals = np.where((det3 > 0) & (den > 0), vals, np.inf)
-                fi = int(np.argmin(vals.ravel()))
-                i3, j3, k3, l3 = np.unravel_index(fi, vals.shape)
-                x = np.array([t2, p2, th[i3], th[k3], ph[j3], ph[l3]])
-                candidates.append((float(vals.ravel()[fi]), x))
+    for head in product(*earlier):
+        vals = _explicit_value(Hr, par.rows(list(head) + last_x))
+        vals = np.broadcast_to(vals, shape).ravel()
+        # the five best cells of a 2-user grid, the best cell per batch otherwise
+        best = np.argsort(vals, kind="stable")[:5] if s == 2 else [int(np.argmin(vals))]
+        for fi in best:
+            idx = np.unravel_index(fi, shape)
+            x = np.array([*head, *th[list(idx[0::2])], *ph[list(idx[1::2])]])
+            candidates.append((float(vals[fi]), x))
 
     candidates.sort(key=lambda cv: cv[0])
     best_val, best_x = candidates[0]
-    if resolution > 1:  # a one-cell grid is a point probe, nothing to refine
+    if resolution > 1 and s > 1:  # a point probe or a singleton: nothing to refine
         from scipy.optimize import minimize
         for v0, x0 in candidates[:5]:
-            res = minimize(lambda x: _explicit_term_value(x, Hr, par), x0,
+            res = minimize(lambda x: float(_explicit_value(Hr, par.rows(x))), x0,
                            method="Nelder-Mead", bounds=par.search_bounds,
                            options={"maxfev": 4000, "xatol": 1e-9, "fatol": 1e-12})
             if np.isfinite(res.fun) and res.fun < best_val:

@@ -3,6 +3,8 @@ import pytest
 
 import ifcbounds as ifc
 from ifcbounds.errors import TooLarge, ValidationError
+from ifcbounds.oracle import CorrelationAngles, _explicit_value
+from ifcbounds.outer_bound import _embed_sigma, _reduced_channel
 
 from support import random_channel, random_joint, random_upper_triangular_channel
 
@@ -129,3 +131,30 @@ def test_grid_witness_rescoring_matches_reported_value():
             t = ifc.BoundTerm(tuple(range(1, K + 1)), tuple(range(1, K + 1)))
             val, sig = ifc.grid_min_sigma(ch, t, resolution=res)
             assert abs(ifc.kra_term_value(ch, sig, t) - val) < 1e-6
+
+
+def test_grid_takes_small_terms_on_four_users():
+    # the grid reduces every term to its own users, so only |S| is capped
+    ch = random_channel(np.random.default_rng(7), 4)
+    for t, res in ((ifc.BoundTerm((1, 3, 4), (3, 1, 4)), 16),
+                   (ifc.BoundTerm((2, 4), (4, 2)), 200)):
+        gval, sig = ifc.grid_min_sigma(ch, t, resolution=res)
+        oval, _ = ifc.kra_term_min(ch, t)
+        assert sig.K == 4
+        assert abs(gval - oval) < 1e-9
+
+
+def test_explicit_value_matches_reference_term():
+    # the scan and the refinement share this evaluator; check it pointwise
+    # against the conditional-MI reference at random interior angles
+    rng = np.random.default_rng(68)
+    for subset, perm in (((1, 2), (2, 1)), ((1, 2, 3), (2, 3, 1)), ((2, 3), (2, 3))):
+        t = ifc.BoundTerm(subset, perm)
+        par = CorrelationAngles(t.size)
+        lo, hi = np.array(par.bounds).T
+        for _ in range(5):
+            ch = random_channel(rng, 3)
+            x = lo + (0.1 + 0.8 * rng.random(par.n_params)) * (hi - lo)
+            got = _explicit_value(_reduced_channel(ch, t), par.rows(x))
+            ref = ifc.kra_term_value(ch, _embed_sigma(par.sigma(x), t, 3), t)
+            assert abs(got - ref) < 1e-9
