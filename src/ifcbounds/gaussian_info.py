@@ -2,9 +2,10 @@
 
 Everything here reduces to log-determinants of conditional covariances, each
 read off the Cholesky factor of one joint covariance block; this module is
-the engine every bound term runs on.  The joint vector is assembled once per
-channel/noise/genie configuration by :func:`build_joint`, after which queries
-are pure covariance algebra.
+the engine every bound term runs on.  :func:`build_joint` writes the joint
+vector as one invertible linear map of inputs and noises, so of its already
+validated inputs only the noise law is left to check; queries are then pure
+covariance algebra.  ``model.make_joint`` validates covariances from elsewhere.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -21,10 +22,11 @@ from .errors import (
     IndexOutOfRange,
     InternalConsistencyError,
     LabelOverlap,
+    NotPSD,
     RhoTooLarge,
     SingularCovariance,
 )
-from .model import ChannelMatrix, JointGaussian, NoiseCorrelation, make_joint
+from .model import PSD_EIG_TOL, ChannelMatrix, JointGaussian, NoiseCorrelation
 
 LOG2PIE = float(np.log2(np.pi * np.e))
 
@@ -50,7 +52,7 @@ class GenieSpec:
     paired_with: int
 
     def __post_init__(self):
-        if abs(self.rho) > RHO_CAP:
+        if not abs(self.rho) <= RHO_CAP:  # also refuses a NaN rho
             raise RhoTooLarge(f"|rho| = {abs(self.rho):.8f} exceeds {RHO_CAP}")
 
 
@@ -59,12 +61,14 @@ def build_joint(ch: ChannelMatrix, noise: NoiseCorrelation,
     """Joint law of (X_1..X_K, Y_1..Y_K, G_m per genie) with unit-power inputs.
 
     Labels are "X1".."XK", "Y1".."YK", then "G<m>" in genie order.  Inputs are
-    iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma.
+    iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma.  (X, Y, G) is
+    [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the targets' channel
+    rows less their direct gains, so it is PSD exactly when the noise law
+    N = Cov(Z, Z~) = [[Sigma, C], [C^H, I]] is (C[k-1, a] = rho_a, k paired).
     """
     K = ch.K
     if noise.K != K:
         raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {K}x{K}")
-    H = ch.entries
     seen_targets = set()
     for g in genies:
         if not (1 <= g.target <= K) or not (1 <= g.paired_with <= K):
@@ -75,40 +79,32 @@ def build_joint(ch: ChannelMatrix, noise: NoiseCorrelation,
         seen_targets.add(g.target)
 
     n_g = len(genies)
-    d = 2 * K + n_g
-    cov = np.zeros((d, d), dtype=complex)
+    B = np.empty((K + n_g, K), dtype=complex)
+    B[:K] = ch.entries
+    N = np.eye(K + n_g, dtype=complex)
+    N[:K, :K] = noise.sigma
+    for a, g in enumerate(genies):
+        B[K + a] = ch.entries[g.target - 1]
+        B[K + a, g.target - 1] = 0.0
+        N[g.paired_with - 1, K + a] = g.rho
+        N[K + a, g.paired_with - 1] = np.conj(g.rho)
+    if n_g:  # without genies N is Sigma, checked by validate_noise_correlation
+        w = np.linalg.eigvalsh(N)
+        if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
+            raise NotPSD(f"noise law of Sigma and the genie correlations has "
+                         f"eigenvalue {w[0]:.3e}: no such joint law exists")
+
+    cov = np.empty((2 * K + n_g, 2 * K + n_g), dtype=complex)
+    cov[:K, :K] = np.eye(K)
+    cov[K:, :K] = B
+    cov[:K, K:] = B.conj().T
+    P = B @ B.conj().T
+    cov[K:, K:] = (P + P.conj().T) / 2.0 + N
+    cov.setflags(write=False)
     labels = ([f"X{i}" for i in range(1, K + 1)]
               + [f"Y{i}" for i in range(1, K + 1)]
               + [f"G{g.target}" for g in genies])
-
-    cov[:K, :K] = np.eye(K)
-    cov[K:2 * K, :K] = H                       # E[Y_i X_j^*] = h_{i,j}
-    cov[:K, K:2 * K] = H.conj().T
-    cov[K:2 * K, K:2 * K] = H @ H.conj().T + noise.sigma
-
-    for a, g in enumerate(genies):
-        col = 2 * K + a
-        m = g.target - 1
-        # signal part of G: the m-th channel row with the direct gain removed
-        row = H[m].copy()
-        row[m] = 0.0
-        cov[:K, col] = row.conj()              # E[X_i G^*]
-        cov[col, :K] = row
-        yg = H @ row.conj()                    # E[Y_j G^*], signal part
-        yg[g.paired_with - 1] += g.rho
-        cov[K:2 * K, col] = yg
-        cov[col, K:2 * K] = yg.conj()
-        cov[col, col] = 1.0 + np.sum(np.abs(row) ** 2)
-        for b in range(a):
-            g2 = genies[b]
-            col2 = 2 * K + b
-            row2 = H[g2.target - 1].copy()
-            row2[g2.target - 1] = 0.0
-            v = np.vdot(row2, row)             # sum_i row_i conj(row2_i), noises independent
-            cov[col, col2] = v
-            cov[col2, col] = np.conj(v)
-
-    return make_joint(labels, cov)
+    return JointGaussian(tuple(labels), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +166,7 @@ def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
 def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
     """h(A | C) in bits from the factor of the (C, A) block."""
     a, c = list(a), list(c)
-    if set(a) & set(c):
-        raise LabelOverlap(f"A and C overlap: {sorted(set(a) & set(c))}")
+    _check_disjoint(a, [], c)
     if not a:
         raise LabelOverlap("entropy of an empty label set")
     return len(a) * LOG2PIE + _cond_logdet(j, a, c)

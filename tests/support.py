@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 import ifcbounds as ifc
+from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
 
 #: working precision of the referee below
@@ -67,6 +68,46 @@ def random_rank_one(rng, K):
     b = (0.3 + rng.random(K)) * np.exp(2j * np.pi * rng.random(K))
     a = t * b / np.abs(b)  # makes a_k * conj(b_k) = t_k |b_k| real positive
     return ifc.rank_one_channel(a, b), a, b
+
+
+def referee_joint_cov(ch, noise, genies=()):
+    """Covariance of (X, Y, G) written entry by entry from the model, then
+    validated by make_joint (so an infeasible Sigma/rho pair raises NotPSD):
+    E[Y X^*] = H, Cov(Y) = H H^H + Sigma, and for G = r X + Z~ with r the
+    target's channel row less its direct gain, E[X G^*] = r^H,
+    E[Y G^*] = H r^H + rho at the paired receiver, Var G = 1 + |r|^2, and
+    E[G G2^*] = r r2^H across genies, whose noises are independent."""
+    K = ch.K
+    H = ch.entries
+    d = 2 * K + len(genies)
+    cov = np.zeros((d, d), dtype=complex)
+    cov[:K, :K] = np.eye(K)
+    cov[K:2 * K, :K] = H
+    cov[:K, K:2 * K] = H.conj().T
+    cov[K:2 * K, K:2 * K] = H @ H.conj().T + noise.sigma
+
+    def row(g):
+        r = H[g.target - 1].copy()
+        r[g.target - 1] = 0.0
+        return r
+
+    for a, g in enumerate(genies):
+        col = 2 * K + a
+        r = row(g)
+        cov[:K, col] = r.conj()
+        cov[col, :K] = r
+        yg = H @ r.conj()
+        yg[g.paired_with - 1] += g.rho
+        cov[K:2 * K, col] = yg
+        cov[col, K:2 * K] = yg.conj()
+        cov[col, col] = 1.0 + np.sum(np.abs(r) ** 2)
+        for b in range(a):
+            v = np.vdot(row(genies[b]), r)
+            cov[col, 2 * K + b] = v
+            cov[2 * K + b, col] = np.conj(v)
+    labels = ([f"X{i}" for i in range(1, K + 1)] + [f"Y{i}" for i in range(1, K + 1)]
+              + [f"G{g.target}" for g in genies])
+    return make_joint(labels, cov).cov
 
 
 def random_joint(rng, K):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifcbounds as ifc
-from ifcbounds.errors import IndexOutOfRange, LabelOverlap, RhoTooLarge, SingularCovariance
+from ifcbounds.errors import (
+    IndexOutOfRange, LabelOverlap, NotPSD, RhoTooLarge, SingularCovariance)
 from ifcbounds.gaussian_info import LOG2PIE, regression_coefficients
 
-from support import random_channel, random_joint, referee_log2det, sample_interior_sigma
+from support import (
+    random_channel, random_joint, referee_joint_cov, referee_log2det, sample_interior_sigma)
 
 LOG2PIE_EXPECTED = np.log2(np.pi * np.e)
 
@@ -80,6 +82,58 @@ def test_rho_cap_enforced():
         ifc.GenieSpec(target=1, rho=0.9999999, paired_with=1)
 
 
+@pytest.mark.parametrize("rho", [complex("nan"), complex(0.1, float("nan")), complex("inf")])
+def test_non_finite_rho_rejected(rho):
+    # build_joint trusts GenieSpec for a finite rho and checks no covariance
+    # entry, so a NaN must stop here
+    with pytest.raises(RhoTooLarge):
+        ifc.GenieSpec(2, rho, 1)
+
+
+def _random_genies(rng, K, n_g, rho_max):
+    targets = rng.permutation(np.arange(1, K + 1))[:n_g]
+    return [ifc.GenieSpec(int(m), rho_max * rng.random() * np.exp(2j * np.pi * rng.random()),
+                          int(rng.integers(1, K + 1))) for m in targets]
+
+
+def test_joint_assembly_matches_the_entrywise_referee():
+    # the map-plus-noise-law assembly against the model written entry by entry
+    rng = np.random.default_rng(12)
+    cases = [(random_channel(rng, K), sample_interior_sigma(rng, K),
+              _random_genies(rng, K, int(rng.integers(0, K + 1)), 0.3))
+             for K in (1, 2, 3, 4) for _ in range(10)]
+    ch = random_channel(rng, 3)  # two genies paired with one receiver, correlated Sigma
+    cases.append((ch, sample_interior_sigma(rng, 3),
+                  [ifc.GenieSpec(2, 0.3 + 0.1j, 1), ifc.GenieSpec(3, -0.2j, 1)]))
+    assert any(len(gens) == len({g.paired_with for g in gens}) + 1 for _, _, gens in cases)
+    assert any(np.any(np.abs(sig.sigma - np.eye(sig.K)) > 0.1) and gens for _, sig, gens in cases)
+    compared = 0
+    for ch, sig, gens in cases:
+        try:
+            want = referee_joint_cov(ch, sig, gens)
+        except NotPSD:  # a nearly singular Sigma leaves no room for these rhos
+            with pytest.raises(NotPSD):
+                ifc.build_joint(ch, sig, gens)
+            continue
+        got = ifc.build_joint(ch, sig, gens).cov
+        scale = np.sqrt(np.outer(np.diagonal(want).real, np.diagonal(want).real))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (ch.K, len(gens))
+        compared += 1
+    assert compared >= 0.7 * len(cases)
+
+
+def test_infeasible_noise_law_refused_by_assembly_and_referee():
+    rng = np.random.default_rng(13)
+    sig = ifc.validate_noise_correlation([[1.0, 0.95, 0.0], [0.95, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    ch = random_channel(rng, 3)
+    for gens in ([ifc.GenieSpec(2, 0.9, 1)],
+                 [ifc.GenieSpec(2, 0.8, 3), ifc.GenieSpec(3, 0.8j, 3)]):
+        with pytest.raises(NotPSD):
+            ifc.build_joint(ch, sig, gens)
+        with pytest.raises(NotPSD):
+            referee_joint_cov(ch, sig, gens)
+
+
 # ---------------------------------------------------------------------------
 # entropies
 
@@ -134,6 +188,13 @@ def test_overlap_rejected():
     j = ifc.build_joint(ch, ifc.identity_noise(2))
     with pytest.raises(LabelOverlap):
         ifc.conditional_mi(j, ["Y1"], ["Y1"], [])
+
+
+def test_conditional_entropy_overlap_rejected():
+    ch = ifc.validate_channel(np.eye(2))
+    j = ifc.build_joint(ch, ifc.identity_noise(2))
+    with pytest.raises(LabelOverlap):
+        ifc.conditional_entropy(j, ["Y1"], ["Y1"])
 
 
 def test_deterministic_conditioning_raises():
