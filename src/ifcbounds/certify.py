@@ -29,7 +29,7 @@ route calls it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,9 +59,7 @@ from .model import (
     ChannelMatrix,
     NoiseCorrelation,
     RateInequality,
-    identity_noise,
     validate_channel,
-    validate_noise_correlation,
 )
 from .outer_bound import (
     FAMILY_KRA,
@@ -91,39 +89,36 @@ def _rank_one_factors(H: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 def _ladder_by_information(ch: ChannelMatrix) -> float:
     """Successive-decoding ladder recomputed as conditional informations."""
-    j = build_joint(ch, identity_noise(ch.K))
+    j = build_joint(ch)
     return sum(conditional_mi(j, [f"Y{k}"], [f"X{k}"], [f"X{i}" for i in range(1, k)])
                for k in range(1, ch.K + 1))
 
 
 def _tin_by_information(ch: ChannelMatrix) -> float:
     """All-interference-as-noise sum recomputed as plain informations."""
-    j = build_joint(ch, identity_noise(ch.K))
+    j = build_joint(ch)
     return sum(conditional_mi(j, [f"Y{k}"], [f"X{k}"]) for k in range(1, ch.K + 1))
 
 
-def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation) -> float:
-    """Natural-order full-set bound term via the chain of output entropies:
-    sum_k h(Y_k | X_<k, Y_<k) - h(Z_1..Z_K)."""
+def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation, order: Sequence[int]) -> float:
+    """Full-set bound term in the given order via the chain of output
+    entropies: sum_k h(Y_pi_k | X_pi_<k, Y_pi_<k) - h(Z_1..Z_K)."""
     j = build_joint(ch, noise)
     total = 0.0
-    for k in range(1, ch.K + 1):
-        cond = ([f"X{i}" for i in range(1, k)] + [f"Y{i}" for i in range(1, k)])
-        total += conditional_entropy(j, [f"Y{k}"], cond)
+    for k, user in enumerate(order):
+        cond = [f"X{i}" for i in order[:k]] + [f"Y{i}" for i in order[:k]]
+        total += conditional_entropy(j, [f"Y{user}"], cond)
     sign, logdet = np.linalg.slogdet(noise.sigma)
     return total - ch.K * LOG2PIE - float(logdet) / float(np.log(2.0))
 
 
 def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
     """The winning full-set inequality of a sum-rate-only region, re-scored at
-    its witness by a route other than the one ``region`` reported: the chain
-    of output entropies on the channel and coupling relabeled in the
-    witness's order (KRA), or the closed-form summands (ETW)."""
+    its witness by another route than ``region``'s: the chain of output
+    entropies in the witness's order (KRA), or the closed-form summands (ETW)."""
     perm = ineq.witness["perm"]
     if ineq.family == FAMILY_KRA:
-        idx = np.ix_([p - 1 for p in perm], [p - 1 for p in perm])
-        return _term_by_entropies(validate_channel(ch.entries[idx]),
-                                  validate_noise_correlation(ineq.witness["sigma"][idx]))
+        return _term_by_entropies(ch, NoiseCorrelation(ineq.witness["sigma"]), perm)
     return _etw_closed_form(ch.entries, BoundTerm(ineq.subset, perm))[0](ineq.witness["rhos"])
 
 
@@ -132,10 +127,6 @@ def _recheck(upper: float, upper2: float, lower: float, lower2: float) -> None:
         raise InternalConsistencyError(
             f"certificate re-verification failed: upper {upper!r} vs {upper2!r}, "
             f"lower {lower!r} vs {lower2!r}")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _ladder_certificate(ch: ChannelMatrix, name: str, upper_by: Callable[[], float],
@@ -158,7 +149,7 @@ def _ladder_certificate(ch: ChannelMatrix, name: str, upper_by: Callable[[], flo
         details.append(f"{name} is degenerate, route skipped")
         return None
     _recheck(upper, upper2, lower, _ladder_by_information(ch))
-    details.append(f"{name} {_fmt(upper)} bits meets the ladder (gap {gap:.3e})")
+    details.append(f"{name} {upper:.12g} bits meets the ladder (gap {gap:.3e})")
     return Certificate(CERTIFIED, path, gap, upper, lower, tuple(details))
 
 
@@ -202,7 +193,7 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
             cert = _ladder_certificate(
                 ch, "bound at the recovered coupling",
                 lambda: kra_term_value(ch, recovered, BoundTerm(users, users)),
-                lambda: _term_by_entropies(ch, recovered), path, details)
+                lambda: _term_by_entropies(ch, recovered, users), path, details)
             if cert is not None:
                 return cert
 
@@ -211,8 +202,8 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
     lower_name = max(rep.lower_bounds, key=lambda n: rep.lower_bounds[n])
     lower = rep.lower_bounds[lower_name]
     gap = upper - lower
-    details.append(f"optimized sum-rate bound {_fmt(upper)} bits vs best achievable "
-                   f"({lower_name}) {_fmt(lower)} bits")
+    details.append(f"optimized sum-rate bound {upper:.12g} bits vs best achievable "
+                   f"({lower_name}) {lower:.12g} bits")
     if abs(gap) <= CERT_TOL:
         lower2 = (_ladder_by_information if lower_name == "SUCC_DEC" else _tin_by_information)(ch)
         _recheck(upper, _sum_rate_by_second_route(ch, rep.inequalities[-1]), lower, lower2)

@@ -37,7 +37,6 @@ from .model import (
     _want_matrix,
     _want_number,
     _want_vector,
-    identity_noise,
     parse_channel_spec,
     validate_noise_correlation,
 )
@@ -193,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
 def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
     ch = _load_channel(args.channel)
     seed, n = args.seed, args.mc_samples
-    joint = build_joint(ch, identity_noise(ch.K))
+    joint = build_joint(ch)
     xs = [f"X{k}" for k in range(1, ch.K + 1)]
     ys = [f"Y{k}" for k in range(1, ch.K + 1)]
     queries = [([ys[k]], [xs[k]], []) for k in range(ch.K)]

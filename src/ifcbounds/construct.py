@@ -76,9 +76,7 @@ def degradedness_witness(ch: ChannelMatrix, noise: NoiseCorrelation) -> WitnessR
     and the leftover conditional information — and their pass/fail decisions
     must agree; a split decision means the engine is inconsistent and raises.
     """
-    if noise.K != ch.K:
-        raise InternalConsistencyError("channel/noise size mismatch")
-    j = build_joint(ch, noise)
+    j = build_joint(ch, noise)  # refuses a coupling of another size
     residuals: List[Tuple[int, float, float]] = []
     ok = True
     for k in range(2, ch.K + 1):
@@ -139,9 +137,9 @@ def build_z_channel(noise: NoiseCorrelation, diag_gains: Sequence[float]) -> Cha
 def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
     """The unit-diagonal matrix whose recursion reproduces H's upper triangle.
 
-    Entries below the diagonal are ignored.  Returns None when the result is
-    not PSD by validate_noise_correlation's bound (an eigenvalue below
-    -PSD_EIG_TOL): H's upper triangle is then not constructible.
+    Entries below the diagonal are ignored; the result is Hermitian and
+    read-only, or None when not PSD by validate_noise_correlation's bound (an
+    eigenvalue below -PSD_EIG_TOL): H's upper triangle is then not constructible.
     """
     s = H.shape[0]
     sigma = np.eye(s, dtype=complex)
@@ -153,14 +151,16 @@ def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
             col = col - H[:k - 1, k:] @ tail.conj()
         sigma[:k - 1, k - 1] = col
         sigma[k - 1, :k - 1] = col.conj()
+    sigma.setflags(write=False)
     return sigma if np.linalg.eigvalsh(sigma)[0] >= -PSD_EIG_TOL else None
 
 
 def recover_noise_correlation(ch: ChannelMatrix) -> Optional[NoiseCorrelation]:
     """The noise correlation from which `build_z_channel` rebuilds ch's upper
-    triangle at ch's diagonal, or None when ch is not constructible."""
+    triangle at ch's diagonal, or None when ch is not constructible; the
+    inverse passed validate_noise_correlation's bound and is not checked again."""
     sigma = invert_coupling_recursion(ch.entries)
-    return None if sigma is None else validate_noise_correlation(sigma)
+    return None if sigma is None else NoiseCorrelation(sigma)
 
 
 def many_to_one(v: Sequence[complex], diag_gains: Sequence[float]) -> ChannelMatrix:

@@ -14,7 +14,7 @@ circularly-symmetric vector with covariance S has h = log2 det(pi e S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,18 +56,18 @@ class GenieSpec:
             raise RhoTooLarge(f"|rho| = {abs(self.rho):.8f} exceeds {RHO_CAP}")
 
 
-def build_joint(ch: ChannelMatrix, noise: NoiseCorrelation,
+def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
                 genies: Sequence[GenieSpec] = ()) -> JointGaussian:
     """Joint law of (X_1..X_K, Y_1..Y_K, G_m per genie) with unit-power inputs.
 
     Labels are "X1".."XK", "Y1".."YK", then "G<m>" in genie order.  Inputs are
-    iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma.  (X, Y, G) is
-    [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the targets' channel
-    rows less their direct gains, so it is PSD exactly when the noise law
+    iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma, or I by default.
+    (X, Y, G) is [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the
+    targets' channel rows less their direct gains, so it is PSD exactly when
     N = Cov(Z, Z~) = [[Sigma, C], [C^H, I]] is (C[k-1, a] = rho_a, k paired).
     """
     K = ch.K
-    if noise.K != K:
+    if noise is not None and noise.K != K:
         raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {K}x{K}")
     seen_targets = set()
     for g in genies:
@@ -82,13 +82,14 @@ def build_joint(ch: ChannelMatrix, noise: NoiseCorrelation,
     B = np.empty((K + n_g, K), dtype=complex)
     B[:K] = ch.entries
     N = np.eye(K + n_g, dtype=complex)
-    N[:K, :K] = noise.sigma
+    if noise is not None:
+        N[:K, :K] = noise.sigma
     for a, g in enumerate(genies):
         B[K + a] = ch.entries[g.target - 1]
         B[K + a, g.target - 1] = 0.0
         N[g.paired_with - 1, K + a] = g.rho
         N[K + a, g.paired_with - 1] = np.conj(g.rho)
-    if n_g:  # without genies N is Sigma, checked by validate_noise_correlation
+    if n_g:  # without genies N is Sigma: the identity, or a validated coupling
         w = np.linalg.eigvalsh(N)
         if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
             raise NotPSD(f"noise law of Sigma and the genie correlations has "

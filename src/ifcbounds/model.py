@@ -97,8 +97,12 @@ def validate_channel(raw: Any) -> ChannelMatrix:
     The diagonal must already be real and strictly positive.  Imaginary
     diagonal dust below ``1e-12`` (relative) is zeroed; anything larger is an
     explicit ``NonPositiveDiagonal`` error rather than a silent phase rotation.
+    Gains whose (1 + sum |h_ij|^2)^2 overflows are ``NonFinite``.
     """
     arr = _as_complex_matrix(raw, "H")
+    with np.errstate(over="ignore"):
+        if not np.isfinite((1.0 + np.sum(arr.real ** 2 + arr.imag ** 2)) ** 2):
+            raise NonFinite("H has gains whose output power overflows")
     diag = np.diagonal(arr).copy()
     scale = np.maximum(1.0, np.abs(diag.real))
     if np.any(np.abs(diag.imag) > _DUST * scale):
@@ -316,12 +320,15 @@ def _decode_json(text: Union[str, bytes]) -> Any:
 def _want_number(node: Any, ptr: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(ptr, f"expected a number, got {type(node).__name__}")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:  # an integer literal past the float range
+        raise SchemaError(ptr, "number is too large for a float") from None
 
 
 def _want_pair(node: Any, ptr: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(float(node), 0.0)
+        return complex(_want_number(node, ptr), 0.0)
     if not isinstance(node, list) or len(node) != 2:
         raise SchemaError(ptr, "expected a number or [re, im] pair")
     return complex(_want_number(node[0], ptr + "/0"), _want_number(node[1], ptr + "/1"))

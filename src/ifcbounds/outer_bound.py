@@ -61,7 +61,6 @@ from .model import (
     ChannelMatrix,
     NoiseCorrelation,
     RateInequality,
-    identity_noise,
     validate_noise_correlation,
 )
 
@@ -220,9 +219,9 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
     mutual informations; the optimizer uses the telescoped log-det form and is
     checked against this one.
     """
-    if max(t.subset) > ch.K or noise.K != ch.K:
-        raise ValidationError("term/noise dimensions do not match the channel")
-    j = build_joint(ch, noise)
+    if max(t.subset) > ch.K:
+        raise ValidationError(f"term {t} references users beyond K={ch.K}")
+    j = build_joint(ch, noise)  # refuses a coupling of another size
     outside = [f"X{i}" for i in range(1, ch.K + 1) if i not in t.subset]
     total = 0.0
     perm = t.perm
@@ -242,15 +241,20 @@ def _pair_rho(p: float, c: complex) -> complex:
     rho takes the phase of c; its magnitude is the smaller root of
     |c| r^2 - (p - |c|^2 - 1) r + |c| = 0.  Both roots are real, with product
     1, whenever p >= (1 + |c|)^2, which every caller guarantees; at equality
-    the objective falls all the way to |rho| = 1 and the cap binds.
+    the objective falls all the way to |rho| = 1 and the cap binds, as it does
+    when rounding leaves b = p - |c|^2 - 1 <= 2|c| (even -1) or b^2 overflows.
     """
     a = abs(c)
     if a == 0.0:
         return 0j
     b = p - a * a - 1.0
-    r = min(2.0 * a / (b + math.sqrt(max(b * b - 4.0 * a * a, 0.0))), RHO_CAP)
+    r = RHO_CAP
+    if b > 2.0 * a and math.isfinite(b * b):
+        r = min(2.0 * a / (b + math.sqrt(max(b * b - 4.0 * a * a, 0.0))), RHO_CAP)
     rho = r * (c / a)
-    while abs(rho) > RHO_CAP:  # the unit phase factor can round |rho| past the cap
+    for _ in range(4):  # the unit phase factor can round |rho| a few ulps past the cap
+        if abs(rho) <= RHO_CAP:
+            break
         rho *= 1.0 - 2.0 ** -52
     return complex(rho)
 
@@ -408,11 +412,9 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
-    if max(t.subset) > ch.K:
-        raise ValidationError("term references users beyond the channel size")
     genies = [GenieSpec(target=m, rho=complex(r), paired_with=k)
               for k, m, r in zip(t.subset, t.perm, rhos)]
-    j = build_joint(ch, identity_noise(ch.K), genies)
+    j = build_joint(ch, None, genies)  # refuses users beyond K
     all_x = [f"X{i}" for i in range(1, ch.K + 1)]
     total = 0.0
     for k, m, r in zip(t.subset, t.perm, rhos):

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import ifcbounds as ifc
 import ifcbounds.certify as certify
+import ifcbounds.model as model
 import ifcbounds.outer_bound as outer_bound
 from ifcbounds.certify import (
     BOUND_ONLY,
@@ -223,3 +226,37 @@ def test_ladder_certificates_are_rechecked_by_a_second_route(monkeypatch, H, pat
     monkeypatch.setattr(certify, name, lambda *args: route(*args) + 1e-6)
     with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
         ifc.certify_sum_capacity(ch)
+
+
+@pytest.fixture
+def coupling_checks(monkeypatch):
+    """Every validate_noise_correlation call, through each module's binding."""
+    calls = []
+    real = model.validate_noise_correlation
+
+    def counted(raw):
+        calls.append(raw)
+        return real(raw)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ifcbounds":
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["etw_term_value", "region-etw", PATH_Z, PATH_MAC,
+                                  PATH_DEGRADED])
+def test_no_route_revalidates_a_coupling(coupling_checks, case):
+    # the identity coupling is never built, and a recovered one is taken as
+    # the recursion accepted it
+    H = {PATH_Z: [[1.0, 0.4], [0.0, 1.0]], PATH_MAC: [[1.0, 0.5], [2.5, 2.0]],
+         PATH_DEGRADED: [[1.0, 1.0], [1.0, 1.0]]}.get(case, [[1.0, 0.5], [0.3j, 2.0]])
+    ch = ifc.validate_channel(np.array(H))
+    if case == "etw_term_value":
+        ifc.etw_term_value(ch, ifc.BoundTerm((1, 2), (2, 1)), (0.3, 0.2j))
+    elif case == "region-etw":
+        ifc.region(ch, families="etw")
+    else:
+        assert ifc.certify_sum_capacity(ch).path == case
+    assert coupling_checks == []

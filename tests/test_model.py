@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def test_nonfinite_rejected():
     from ifcbounds.errors import NonFinite
     with pytest.raises(NonFinite):
         ifc.validate_channel([[1.0, np.inf], [0.0, 1.0]])
+
+
+def test_gains_whose_output_power_overflows_rejected():
+    from ifcbounds.errors import NonFinite
+    ifc.validate_channel([[1.0, 1e77], [0.0, 1.0]])  # (1 + 1e154)^2 is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in ([[1.0, 2e77], [0.0, 1.0]], [[1.0, 1e300j], [0.0, 1e300]]):
+            with pytest.raises(NonFinite, match="overflows"):
+                ifc.validate_channel(H)
+            with pytest.raises(SchemaError, match="^/H: "):
+                ifc.parse_channel_spec({"K": 2, "H": [[[h.real, h.imag] for h in map(complex, row)]
+                                                      for row in H]})
 
 
 def test_channel_entries_read_only():

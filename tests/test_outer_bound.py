@@ -6,7 +6,12 @@ import ifcbounds as ifc
 from ifcbounds import outer_bound
 from ifcbounds.certify import CERT_TOL
 from ifcbounds.construct import invert_coupling_recursion
-from ifcbounds.errors import InternalConsistencyError, TooLarge, ValidationError
+from ifcbounds.errors import (
+    IndexOutOfRange,
+    InternalConsistencyError,
+    TooLarge,
+    ValidationError,
+)
 from ifcbounds.gaussian_info import RHO_CAP, build_joint
 from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
@@ -567,6 +572,23 @@ def test_region_full_mode_is_capped_at_k6():
     ch = ifc.validate_channel(np.eye(outer_bound.FULL_REGION_MAX_K + 1))
     with pytest.raises(TooLarge, match="sum-rate-only mode"):
         ifc.region(ch)
+
+
+def test_term_values_leave_size_checks_to_the_joint_law():
+    ch = random_channel(np.random.default_rng(3), 2)
+    t = ifc.BoundTerm((1, 2), (2, 1))
+    with pytest.raises(IndexOutOfRange, match="noise correlation is 3x3"):
+        ifc.kra_term_value(ch, ifc.identity_noise(3), t)
+    with pytest.raises(IndexOutOfRange, match="outside 1..2"):
+        ifc.etw_term_value(ch, ifc.BoundTerm((1, 3), (3, 1)), (0.1, 0.2))
+
+
+def test_sum_rate_only_past_the_enumeration_cap_takes_the_natural_order():
+    K = outer_bound.ENUM_MAX_K + 1
+    rep = ifc.region(random_channel(np.random.default_rng(9), K), sum_rate_only=True)
+    users = tuple(range(1, K + 1))
+    assert [(q.subset, tuple(q.witness["perm"])) for q in rep.inequalities] == [(users, users)]
+    assert rep.consistent
 
 
 def test_region_sum_rate_only_shape():
