@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import traceback
@@ -167,6 +168,10 @@ def _fmt(x: float) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     if args.steps < 1:
         raise SchemaError("/steps", "steps must be a positive integer")
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if hasattr(os, "sysconf") else sys.maxsize)
+    if args.steps > memory // 8:  # refused before the grid is allocated
+        raise TooLarge(f"a grid of {args.steps} floats exceeds {memory} bytes of physical memory")
     template = _load_json(args.template)
     pointers = [p.strip() for p in args.param.split(",") if p.strip()]
     if not pointers:

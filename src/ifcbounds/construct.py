@@ -134,11 +134,13 @@ def build_z_channel(noise: NoiseCorrelation, diag_gains: Sequence[float]) -> Cha
     return ch
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
     """The unit-diagonal matrix whose recursion reproduces H's upper triangle.
 
     Entries below the diagonal are ignored; the result is Hermitian and
-    read-only, or None when not PSD by validate_noise_correlation's bound (an
+    read-only, or None when it overflows (a tiny direct gain under a large
+    cross gain) or is not PSD by validate_noise_correlation's bound (an
     eigenvalue below -PSD_EIG_TOL): H's upper triangle is then not constructible.
     """
     s = H.shape[0]
@@ -152,7 +154,8 @@ def invert_coupling_recursion(H: np.ndarray) -> Optional[np.ndarray]:
         sigma[:k - 1, k - 1] = col
         sigma[k - 1, :k - 1] = col.conj()
     sigma.setflags(write=False)
-    return sigma if np.linalg.eigvalsh(sigma)[0] >= -PSD_EIG_TOL else None
+    psd = np.all(np.isfinite(sigma)) and np.linalg.eigvalsh(sigma)[0] >= -PSD_EIG_TOL
+    return sigma if psd else None
 
 
 def recover_noise_correlation(ch: ChannelMatrix) -> Optional[NoiseCorrelation]:

@@ -83,7 +83,7 @@ class SchemaError(ValidationError):
 
 
 class TooLarge(IfcError):
-    """The request exceeds an enumeration or subset cap."""
+    """The request exceeds an enumeration or size cap."""
 
 
 class ComputationError(IfcError):

@@ -237,7 +237,7 @@ class BoundReport:
     lower_bounds: Mapping[str, float]
     config: Mapping[str, Any]
     consistent: bool
-    warnings: tuple = ()
+    warnings: tuple = ()  # empty from every route; kept for the schema-1 shape
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,7 +277,7 @@ class Certificate:
     upper_bits: float
     lower_bits: float
     details: tuple
-    warnings: tuple = ()
+    warnings: tuple = ()  # empty from every route; kept for the schema-1 shape
 
     def to_json_dict(self) -> dict:
         return {

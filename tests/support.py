@@ -5,6 +5,7 @@ reproducible under pytest -p no:randomly and friends.
 """
 
 from decimal import Decimal, localcontext
+from itertools import combinations
 
 import numpy as np
 
@@ -186,3 +187,22 @@ def referee_kra_term(ch, noise, t):
                  - sum(ld(k - 1, range(k - 1, s)) for k in range(2, s + 1))
                  - ld(s, ()))
         return float(total / Decimal(2).ln())
+
+
+def referee_mac_slack(ch, k):
+    """(S, lhs, rhs) at the least slack rhs - lhs of mac_feasibility's
+    constraint for receiver k (0-based), found by enumerating all 2^n subsets
+    of the n earlier users it hears."""
+    H = ch.entries
+    r = ifc.succ_dec_rates(ch)
+    base = 1.0 + np.sum(np.abs(H[k, k + 1:]) ** 2)
+    heard = [j for j in range(k) if H[k, j] != 0]
+    best = None
+    for size in range(len(heard) + 1):
+        for subset in combinations(heard, size):
+            gain = H[k, k].real ** 2 + sum(abs(H[k, j]) ** 2 for j in subset)
+            rhs = float(np.log2(1.0 + gain / base))
+            lhs = float(r[k] + sum(r[j] for j in subset))
+            if best is None or rhs - lhs < best[2] - best[1]:
+                best = (subset, lhs, rhs)
+    return best

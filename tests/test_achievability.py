@@ -3,9 +3,10 @@ import pytest
 
 import ifcbounds as ifc
 from ifcbounds import achievability
-from ifcbounds.errors import BetaInvalid, NotSorted, TooLarge
+from ifcbounds.achievability import MAC_TOL
+from ifcbounds.errors import BetaInvalid, NotSorted
 
-from support import random_rank_one, random_upper_triangular_channel
+from support import random_rank_one, random_upper_triangular_channel, referee_mac_slack
 
 
 def test_parallel_links_sum():
@@ -75,15 +76,46 @@ def test_mac_feasible_on_strictly_upper_triangular_channels():
         assert res.feasible and res.violations == ()
 
 
-def test_mac_cap_counts_the_earlier_users_a_receiver_hears(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("subsets enumerated before the size check")
-
-    monkeypatch.setattr(achievability, "combinations", refuse)
+def test_mac_reports_the_tightest_subset_of_each_failing_receiver():
     H = np.eye(21)
-    H[20, :20] = 0.1  # receiver 21 hears 20 earlier users
-    with pytest.raises(TooLarge):
-        ifc.mac_feasibility(ifc.validate_channel(H))
+    H[20, :20] = 0.1  # receiver 21 hears 20 earlier users, all at one rate per gain
+    res = ifc.mac_feasibility(ifc.validate_channel(H))
+    ((k, subset, lhs, rhs),) = res.violations
+    assert not res.feasible and (k, subset, lhs) == (21, tuple(range(1, 21)), 21.0)
+    assert abs(rhs - np.log2(2.2)) < 1e-14
+
+
+def _mac_test_channel(rng):
+    """Random K = 2..8 channel: 30% of its cross gains zero, some below the
+    square root of the smallest float (|h|^2 underflows to 0), and in a third
+    of the draws lower-triangular gains with one magnitude per row and one
+    direct gain for all, so the heard users of a receiver tie on rate per
+    gain."""
+    K = int(rng.integers(2, 9))
+    tie = rng.random() < 1 / 3
+    if tie:
+        H = np.tril(rng.uniform(0.1, 2.0, (K, 1)) * np.exp(2j * np.pi * rng.random((K, K))))
+    else:
+        H = (rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))) * rng.uniform(0.1, 2.0)
+    H[rng.random((K, K)) < 0.3] = 0.0
+    H[rng.random((K, K)) < 0.05] = 1e-170
+    H[np.diag_indices(K)] = rng.uniform(0.5, 3.0) if tie else np.abs(np.diagonal(H)) + 0.3
+    return ifc.validate_channel(H)
+
+
+def test_mac_prefix_scan_matches_the_subset_enumeration():
+    rng = np.random.default_rng(20)
+    receivers = 0
+    while receivers < 2000:
+        ch = _mac_test_channel(rng)
+        failing = {v[0]: v for v in ifc.mac_feasibility(ch).violations}
+        for k in range(ch.K):
+            _, lhs, rhs = referee_mac_slack(ch, k)
+            assert ((k + 1) in failing) == (lhs > rhs + MAC_TOL)
+            scan = achievability._least_slack(ch.entries, ifc.succ_dec_rates(ch), k)
+            assert abs((scan[3] - scan[2]) - (rhs - lhs)) <= 1e-12
+            assert failing.get(k + 1, scan) == scan
+        receivers += ch.K
 
 
 def test_mac_rank_one_worked_example():

@@ -233,6 +233,20 @@ def test_sweep_zero_steps_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("steps", [10 ** 15, 10 ** 19])
+def test_sweep_grid_past_memory_exits_three_before_allocating(capsys, tmp_path, monkeypatch,
+                                                              steps):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated before the size check")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    tmpl = spec_file(tmp_path, "tmpl3.json", [[1.0, 0.0], [0.0, 1.0]])
+    code, out, err = run(capsys, ["sweep", tmpl, "--param", "/H/0/1",
+                                  "--start", "0", "--stop", "1", "--steps", str(steps)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_exit_zero(capsys, z2):
     code, out, _ = run(capsys, ["verify", z2, "--mc-samples", "50000", "--seed", "2"])
     assert code == 0
@@ -389,12 +403,15 @@ def test_python_m_runs_the_cli():
 @pytest.mark.parametrize("argv, H", [
     (["certify"], [[1, 1e8], [0, 1e8]]),
     (["evaluate", "--families", "etw"], [[1, 1e8], [1e8, 1]]),
-], ids=["certify-z", "evaluate-etw"])
+    (["certify"], [[1, 1e10, 0], [0, 1e-300, 0], [0, 0, 1]]),
+    (["evaluate"], [[1, 1e10, 0], [0, 1e-300, 0], [0, 0, 1]]),
+], ids=["certify-z", "evaluate-etw", "certify-overflow", "evaluate-overflow"])
 def test_closed_form_rho_ends_at_huge_gains(tmp_path, argv, H):
-    # rounding drives b = p - |c|^2 - 1 to -1 here; the cap must bind at once
+    # rounding drives b = p - |c|^2 - 1 to -1 on the first two; on the
+    # overflow channel the coupling recursion leaves the float range
     res = fresh("-m", "ifcbounds", *argv, spec_file(tmp_path, "huge.json", H))
     assert (res.returncode, res.stdout) == (2, "")
-    assert "Traceback" not in res.stderr
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
 
 
 #: every g = 10^k up to 1e20, then a coarse tail to the float limit; past
