@@ -1,4 +1,5 @@
 import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from ifcbounds.certify import (
     PATH_NUMERIC,
     PATH_Z,
 )
+from ifcbounds.errors import SingularCovariance
+from ifcbounds.gaussian_info import LOG2PIE, chain_entropies
 
 from support import random_gains, random_rank_one, random_z_channel, sample_interior_sigma
 
@@ -228,21 +231,25 @@ def test_ladder_certificates_are_rechecked_by_a_second_route(monkeypatch, H, pat
         ifc.certify_sum_capacity(ch)
 
 
-@pytest.fixture
-def coupling_checks(monkeypatch):
-    """Every validate_noise_correlation call, through each module's binding."""
+def _count_calls(monkeypatch, real):
+    """The argument tuples of every call of ``real``, through each module's binding."""
     calls = []
-    real = model.validate_noise_correlation
 
-    def counted(raw):
-        calls.append(raw)
-        return real(raw)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "ifcbounds":
             for attr, val in list(vars(mod).items()):
                 if val is real:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture
+def coupling_checks(monkeypatch):
+    """Every validate_noise_correlation call, through each module's binding."""
+    return _count_calls(monkeypatch, model.validate_noise_correlation)
 
 
 @pytest.mark.parametrize("case", ["etw_term_value", "region-etw", PATH_Z, PATH_MAC,
@@ -260,3 +267,81 @@ def test_no_route_revalidates_a_coupling(coupling_checks, case):
     else:
         assert ifc.certify_sum_capacity(ch).path == case
     assert coupling_checks == []
+
+
+def _heard_z_channel(rng, K, loud=30.0):
+    """A Z channel whose receivers also hear every earlier user, at gain ``loud``."""
+    H = random_z_channel(rng, K)[0].entries.copy()
+    lower = np.tril_indices(K, -1)
+    H[lower] = loud * np.exp(2j * np.pi * rng.random(len(lower[0])))
+    return ifc.validate_channel(H)
+
+
+@pytest.mark.parametrize("path, channel", [
+    (PATH_Z, lambda rng: random_z_channel(rng, 5)[0]),
+    (PATH_MAC, lambda rng: _heard_z_channel(rng, 5)),
+])
+def test_recovery_route_factors_do_not_grow_with_the_users(monkeypatch, path, channel):
+    # the bound is scored by the telescoped form and re-checked off one factor:
+    # one joint law for the entropy chain and one for the ladder, whatever K
+    ch = channel(np.random.default_rng(57))
+    counts = {fn.__name__: _count_calls(monkeypatch, fn) for fn in
+              (outer_bound.kra_term_value, ifc.conditional_entropy, ifc.build_joint)}
+    assert ifc.certify_sum_capacity(ch).path == path
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "kra_term_value": 0, "conditional_entropy": 0, "build_joint": 2}
+
+
+def _entropy_chain_by_queries(ch, noise, order):
+    """The full-set term with one conditional_entropy query per output."""
+    j = ifc.build_joint(ch, noise)
+    total = sum(ifc.conditional_entropy(
+        j, [f"Y{user}"], [f"X{i}" for i in order[:k]] + [f"Y{i}" for i in order[:k]])
+        for k, user in enumerate(order))
+    return total - ch.K * LOG2PIE - float(np.linalg.slogdet(noise.sigma)[1]) / np.log(2.0)
+
+
+def _constructed(rng, kind, K):
+    if kind == "z":
+        return random_z_channel(rng, K)[0]
+    if kind == "many-to-one":
+        v = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
+        v *= np.sqrt(rng.uniform(0.2, 0.95) / np.sum(np.abs(v) ** 2))
+        return ifc.many_to_one(v, random_gains(rng, K))
+    return _heard_z_channel(rng, K, loud=rng.uniform(0.5, 3.0))
+
+
+@pytest.mark.parametrize("kind", ["z", "mac", "many-to-one"])
+def test_one_factor_entropy_chain_matches_the_per_query_chain(kind):
+    # every ordering up to K=4, six random ones beyond.  The two chains round
+    # differently, by up to 1.8e-13 of the term over 300 seeded draws; a flat
+    # 1e-12 bits failed on 36 of them, whose terms reach 20 bits and more
+    rng = np.random.default_rng(58)
+    for K in range(2, 7):
+        for _ in range(3):
+            ch = _constructed(rng, kind, K)
+            noise = sample_interior_sigma(rng, K)
+            orders = (list(permutations(range(1, K + 1))) if K <= 4 else
+                      [tuple(int(u) for u in rng.permutation(K) + 1) for _ in range(6)])
+            for order in orders:
+                want = _entropy_chain_by_queries(ch, noise, order)
+                got = certify._term_by_entropies(ch, noise, order)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (kind, K, order)
+
+
+def test_entropy_chain_refuses_only_the_output_pivots():
+    # a coupling 1e-13 from singular all but fixes Y2 given (X1, Y1)
+    ch = ifc.validate_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    tight = ifc.validate_noise_correlation(np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]]))
+    for route in (certify._term_by_entropies, _entropy_chain_by_queries):
+        with pytest.raises(SingularCovariance, match=r"\['Y2'\] given .* within EIG_TOL"):
+            route(ch, tight, (1, 2))
+    # a large direct gain leaves X1 given Y1 a pivot within EIG_TOL; X1 is
+    # only conditioned on, so the chain still scores
+    ch = ifc.validate_channel(np.array([[3e6, 0.5], [0.0, 1.3]]))
+    noise = ifc.validate_noise_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    j = ifc.build_joint(ch, noise)
+    with pytest.raises(SingularCovariance, match=r"\['X1'\] given \['Y1'\]"):
+        chain_entropies(j, ["Y1", "X1", "Y2"], ["Y1", "X1", "Y2"])
+    assert np.all(np.isfinite(chain_entropies(j, ["Y1", "X1", "Y2"], ["Y1", "Y2"])))
+    assert np.isfinite(certify._term_by_entropies(ch, noise, (1, 2)))
