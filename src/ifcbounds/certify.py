@@ -15,11 +15,9 @@ successive-decoding ladder.
    rates survive every per-receiver joint decoding of the earlier users that
    receiver hears, so they are achievable; and the bound is the
    correlated-noise bound at the recovered coupling, scored by
-   ``outer_bound``'s telescoped log-det form (one batched slogdet) and
-   re-checked by the chain of output entropies, which reads every
-   h(Y_pi_k | X_pi_<k, Y_pi_<k) off one Cholesky factor of the joint law.
-   A coupling on the cone boundary, where the telescoped form is not
-   finite, makes the route step aside as degenerate.  The certificate is
+   ``outer_bound``'s telescoped log-det form (one batched slogdet).  A
+   coupling on the cone boundary, where that form is not finite, makes the
+   route step aside as degenerate.  The certificate is
    labelled Z_THEOREM2 when the gains are strictly upper triangular (no
    receiver hears an earlier user, so the decoding check holds trivially)
    and MAC_THEOREM3 otherwise.
@@ -27,9 +25,12 @@ successive-decoding ladder.
    agree within tolerance.
 
 Every issued certificate is re-verified through independent recomputations of
-both sides before it is returned.  ``degradedness_witness`` is re-exported
-from ``construct``, whose ``build_z_channel`` runs it on what it builds; no
-route calls it.
+both sides before it is returned.  The chain of output entropies and the
+ladder are recomputed off QR pivots of the joint law's square root, not its
+covariance, so like the telescoped bound they err as eps times the gains, not
+as their squares.  ``degradedness_witness`` is re-exported from
+``construct``, whose ``build_z_channel`` runs it on what it builds; no route
+calls it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .achievability import (
 # degradedness_witness is re-exported: the benchmark's tracer wraps it, and tests patch it, here
 from .construct import degradedness_witness, recover_noise_correlation
 from .errors import InternalConsistencyError, SingularCovariance
-from .gaussian_info import LOG2PIE, build_joint, chain_entropies, conditional_mi
+from .gaussian_info import EIG_TOL, build_joint, conditional_mi
 from .model import (
     BOUND_ONLY,
     CERTIFIED,
@@ -88,29 +89,77 @@ def _rank_one_factors(H: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # independent recomputations used to re-verify a certificate before issuing
 
-def _ladder_by_information(ch: ChannelMatrix) -> float:
-    """Successive-decoding ladder recomputed as conditional informations."""
-    j = build_joint(ch)
-    return sum(conditional_mi(j, [f"Y{k}"], [f"X{k}"], [f"X{i}" for i in range(1, k)])
-               for k in range(1, ch.K + 1))
-
-
 def _tin_by_information(ch: ChannelMatrix) -> float:
     """All-interference-as-noise sum recomputed as plain informations."""
     j = build_joint(ch)
     return sum(conditional_mi(j, [f"Y{k}"], [f"X{k}"]) for k in range(1, ch.K + 1))
 
 
+def _refuse_lost_pivots(pivots: np.ndarray, var: np.ndarray,
+                        query: Callable[[int], Tuple[list, list]]) -> None:
+    """SingularCovariance at the first squared pivot at or below EIG_TOL times
+    its variance, worded as gaussian_info's conditioning words it; ``query(i)``
+    names pivot i's (target, given) labels."""
+    for i in np.flatnonzero(pivots <= EIG_TOL * var)[:1]:
+        a, c = query(int(i))
+        raise SingularCovariance(
+            f"cov of {a} given {c} has a pivot within EIG_TOL = {EIG_TOL:g} times its "
+            f"variance ({pivots[i] / var[i]:.3e} of it), lost to round-off")
+
+
+# Both square-root routes below write the joint law as (X, Y) = [[I, 0], [H, L]]
+# (X, W) with W white and Cov(Z) = L L^H.  A conditional variance is then a
+# squared QR pivot of rows of that map, and no covariance is formed, so a
+# large gain never cancels against its own square: the error grows as eps
+# times the gain, not its square.
+
+def _ladder_by_information(ch: ChannelMatrix) -> float:
+    """Successive-decoding ladder recomputed as conditional informations,
+    I(Y_k; X_k | X_<k) = -log2 Var(X_k | X_<k, Y_k) for unit-power inputs.
+
+    Given X_<k, Y_k's row of [H, I] loses the columns of X_<k, so one batched
+    QR of the pairs (that row, X_k) holds Var(Y_k | X_<k) = |R_11|^2 and
+    Var(X_k | X_<k, Y_k) = |R_22|^2.  Var(Y_k | X_<k) or Var(Y_k | X_<=k) =
+    |R_11 R_22|^2 at or below EIG_TOL times Var(Y_k) raises SingularCovariance,
+    as conditional_mi's does.
+    """
+    K = ch.K
+    pairs = np.zeros((K, 2 * K, 2), dtype=complex)
+    pairs[:, :, 0] = np.hstack([np.triu(ch.entries), np.eye(K)]).conj()
+    pairs[range(K), range(K), 1] = 1.0
+    R = np.linalg.qr(pairs, mode="r")
+    before = np.abs(R[:, 0, 0]) ** 2
+    own = np.abs(R[:, 1, 1]) ** 2
+    var = 1.0 + np.sum(np.abs(ch.entries) ** 2, axis=1)
+    # pivot 2(k-1) is Y_k given X_<k, pivot 2k - 1 is Y_k given (X_k, X_<k)
+    _refuse_lost_pivots(np.stack([before, before * own], axis=1).ravel(), np.repeat(var, 2),
+                        lambda i: ([f"Y{i // 2 + 1}"], [f"X{i // 2 + 1}"] * (i % 2)
+                                   + [f"X{j}" for j in range(1, i // 2 + 1)]))
+    return float(-np.sum(np.log2(own)))
+
+
 def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation, order: Sequence[int]) -> float:
     """Full-set bound term in the given order via the chain of output
-    entropies: sum_k h(Y_pi_k | X_pi_<k, Y_pi_<k) - h(Z_1..Z_K), each output
-    entropy a pivot of one factor of the block (Y_pi_1, X_pi_1, ..., Y_pi_K)."""
-    j = build_joint(ch, noise)
-    outputs = [f"Y{user}" for user in order]
-    interleaved = [label for user in order for label in (f"Y{user}", f"X{user}")]
-    total = float(np.sum(chain_entropies(j, interleaved[:-1], outputs)))
-    sign, logdet = np.linalg.slogdet(noise.sigma)
-    return total - ch.K * LOG2PIE - float(logdet) / float(np.log(2.0))
+    entropies: sum_k h(Y_pi_k | X_pi_<k, Y_pi_<k) - h(Z_1..Z_K).
+
+    One QR of the rows of the square root ordered (Y_pi_1, X_pi_1, ...,
+    Y_pi_K) holds every conditional output variance as a squared pivot; an
+    output pivot at or below EIG_TOL times its variance raises
+    SingularCovariance, as conditional_entropy's does.
+    """
+    K = ch.K
+    try:
+        L = np.linalg.cholesky(noise.sigma)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance("the noise coupling is not positive definite") from None
+    users = [u - 1 for u in order]
+    root = np.zeros((2 * K - 1, 2 * K), dtype=complex)
+    root[0::2] = np.hstack([ch.entries, L])[users]
+    root[range(1, 2 * K - 1, 2), users[:-1]] = 1.0
+    pivots = np.abs(np.diagonal(np.linalg.qr(root.conj().T, mode="r"))[0::2]) ** 2
+    _refuse_lost_pivots(pivots, np.sum(np.abs(root[0::2]) ** 2, axis=1), lambda k: (
+        [f"Y{order[k]}"], [f"X{u}" for u in order[:k]] + [f"Y{u}" for u in order[:k]]))
+    return float(np.sum(np.log2(pivots)) - 2.0 * np.sum(np.log2(np.diagonal(L).real)))
 
 
 def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation) -> float:

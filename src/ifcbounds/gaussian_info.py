@@ -115,33 +115,24 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
 # corner factors Cov(A | C), and the rows of A left of that corner hold the
 # regression of A on C, so no conditioning block is ever inverted.
 
-def _factor(j: JointGaussian, c: Sequence[str], a: Sequence[str], checked) -> np.ndarray:
+def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarray:
     """Cholesky factor of the joint block ordered (C, A); a failed factor or a
-    pivot at the ``checked`` positions (a slice or index list) at or below
-    EIG_TOL times its variance raises SingularCovariance."""
-    order = list(c) + list(a)
-    idx = j.indices(order)
+    trailing pivot at or below EIG_TOL times its variance raises
+    SingularCovariance."""
+    idx = j.indices(list(c) + list(a))
     block = j.cov[np.ix_(idx, idx)]
     try:
         L = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         raise SingularCovariance(
             f"joint cov of {list(c)} and {list(a)} is not positive definite") from None
-    pivots = np.diagonal(L)[checked].real ** 2
-    var = np.diagonal(block)[checked].real
+    pivots = np.diagonal(L)[len(c):].real ** 2
+    var = np.diagonal(block)[len(c):].real
     if np.any(pivots <= EIG_TOL * var):
-        worst = int(np.argmin(pivots / var))
-        at = int(np.arange(len(order))[checked][worst])
         raise SingularCovariance(
-            f"cov of {order[at:at + 1]} given {order[:at]} has a pivot within EIG_TOL = "
-            f"{EIG_TOL:g} times its variance ({pivots[worst] / var[worst]:.3e} of it), "
-            f"lost to round-off")
+            f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
+            f"its variance ({np.min(pivots / var):.3e} of it), lost to round-off")
     return L
-
-
-def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarray:
-    """Factor of the joint block ordered (C, A), its trailing |A| pivots checked."""
-    return _factor(j, c, a, slice(len(c), None))
 
 
 def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
@@ -180,23 +171,6 @@ def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) ->
     if not a:
         raise LabelOverlap("entropy of an empty label set")
     return len(a) * LOG2PIE + _cond_logdet(j, a, c)
-
-
-def chain_entropies(j: JointGaussian, order: Sequence[str],
-                    reads: Sequence[str]) -> np.ndarray:
-    """h(V | the labels before V in ``order``) in bits for each V in ``reads``.
-
-    Every one is a pivot of one Cholesky factor of the block ordered as
-    ``order``.  Only the pivots read are refused at EIG_TOL, as
-    conditional_entropy refuses them; a label that is only conditioned on
-    may have a pivot as small as the factor survives.
-    """
-    order = list(order)
-    if len(set(order)) != len(order):
-        raise LabelOverlap(f"labels repeat in {order}")
-    at = [order.index(v) for v in reads]
-    L = _factor(j, order[:-1], order[-1:], at)
-    return LOG2PIE + 2.0 * np.log2(np.diagonal(L)[at].real)
 
 
 def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],

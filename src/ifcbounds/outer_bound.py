@@ -208,8 +208,12 @@ def _lean_kra_value_grad(sigma: np.ndarray,
     return float(grams.signs @ logdet) / _LN2, grad / _LN2
 
 
-def _lean_kra_value(sigma: np.ndarray, grams) -> float:
-    return _lean_kra_value_grad(sigma, grams)[0]
+def _lean_kra_value(sigma: np.ndarray, grams: _TermBlocks) -> float:
+    """The telescoped value (bits) alone; inf off the positive definite cone."""
+    sign, logdet = np.linalg.slogdet(grams.masks * sigma + grams.shifts)
+    if np.any(sign.real <= 0.0):
+        return np.inf
+    return float(grams.signs @ logdet) / _LN2
 
 
 def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:

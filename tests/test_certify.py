@@ -17,9 +17,15 @@ from ifcbounds.certify import (
     PATH_Z,
 )
 from ifcbounds.errors import SingularCovariance
-from ifcbounds.gaussian_info import LOG2PIE, chain_entropies
+from ifcbounds.gaussian_info import LOG2PIE
 
-from support import random_gains, random_rank_one, random_z_channel, sample_interior_sigma
+from support import (
+    random_gains,
+    random_rank_one,
+    random_z_channel,
+    referee_kra_term,
+    sample_interior_sigma,
+)
 
 
 def test_z_channel_certified_via_recovery():
@@ -232,14 +238,15 @@ def test_ladder_certificates_are_rechecked_by_a_second_route(monkeypatch, H, pat
 
 
 def _count_calls(monkeypatch, real):
-    """The argument tuples of every call of ``real``, through each module's binding."""
+    """The argument tuples of every call of ``real``, through each module's
+    binding and numpy.linalg's."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "ifcbounds":
+        if name.split(".")[0] == "ifcbounds" or name == "numpy.linalg":
             for attr, val in list(vars(mod).items()):
                 if val is real:
                     monkeypatch.setattr(mod, attr, counted)
@@ -277,19 +284,29 @@ def _heard_z_channel(rng, K, loud=30.0):
     return ifc.validate_channel(H)
 
 
+#: linear-algebra calls a recovery-route certificate makes, whatever K: the
+#: unit-rank test, the recovery's PSD test, the telescoped bound, the root of
+#: the coupling and one QR each for the entropy chain and the ladder
+RECOVERY_ROUTE_LINALG = {"svd": 1, "eigvalsh": 1, "slogdet": 1, "cholesky": 1, "qr": 2}
+
+
+@pytest.mark.parametrize("K", [2, 5])
 @pytest.mark.parametrize("path, channel", [
-    (PATH_Z, lambda rng: random_z_channel(rng, 5)[0]),
-    (PATH_MAC, lambda rng: _heard_z_channel(rng, 5)),
+    (PATH_Z, lambda rng, K: random_z_channel(rng, K)[0]),
+    (PATH_MAC, _heard_z_channel),
 ])
-def test_recovery_route_factors_do_not_grow_with_the_users(monkeypatch, path, channel):
-    # the bound is scored by the telescoped form and re-checked off one factor:
-    # one joint law for the entropy chain and one for the ladder, whatever K
-    ch = channel(np.random.default_rng(57))
+def test_recovery_route_factorizations_do_not_grow_with_the_users(monkeypatch, K, path,
+                                                                    channel):
+    ch = channel(np.random.default_rng(57), K)
     counts = {fn.__name__: _count_calls(monkeypatch, fn) for fn in
-              (outer_bound.kra_term_value, ifc.conditional_entropy, ifc.build_joint)}
+              (outer_bound.kra_term_value, ifc.conditional_entropy, ifc.conditional_mi,
+               ifc.build_joint)}
+    linalg = {name: _count_calls(monkeypatch, getattr(np.linalg, name))
+              for name in ("cholesky", "qr", "slogdet", "inv", "solve", "eigh", "eigvalsh", "svd")}
     assert ifc.certify_sum_capacity(ch).path == path
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "kra_term_value": 0, "conditional_entropy": 0, "build_joint": 2}
+        "kra_term_value": 0, "conditional_entropy": 0, "conditional_mi": 0, "build_joint": 0}
+    assert {name: len(calls) for name, calls in linalg.items() if calls} == RECOVERY_ROUTE_LINALG
 
 
 def _entropy_chain_by_queries(ch, noise, order):
@@ -312,7 +329,7 @@ def _constructed(rng, kind, K):
 
 
 @pytest.mark.parametrize("kind", ["z", "mac", "many-to-one"])
-def test_one_factor_entropy_chain_matches_the_per_query_chain(kind):
+def test_square_root_entropy_chain_matches_the_per_query_chain(kind):
     # every ordering up to K=4, six random ones beyond.  The two chains round
     # differently, by up to 1.8e-13 of the term over 300 seeded draws; a flat
     # 1e-12 bits failed on 36 of them, whose terms reach 20 bits and more
@@ -336,12 +353,45 @@ def test_entropy_chain_refuses_only_the_output_pivots():
     for route in (certify._term_by_entropies, _entropy_chain_by_queries):
         with pytest.raises(SingularCovariance, match=r"\['Y2'\] given .* within EIG_TOL"):
             route(ch, tight, (1, 2))
-    # a large direct gain leaves X1 given Y1 a pivot within EIG_TOL; X1 is
-    # only conditioned on, so the chain still scores
+    # a large direct gain leaves X1 given Y1 a variance within EIG_TOL of its
+    # own; X1 is only conditioned on, so the chain scores, and exactly
     ch = ifc.validate_channel(np.array([[3e6, 0.5], [0.0, 1.3]]))
     noise = ifc.validate_noise_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
-    j = ifc.build_joint(ch, noise)
-    with pytest.raises(SingularCovariance, match=r"\['X1'\] given \['Y1'\]"):
-        chain_entropies(j, ["Y1", "X1", "Y2"], ["Y1", "X1", "Y2"])
-    assert np.all(np.isfinite(chain_entropies(j, ["Y1", "X1", "Y2"], ["Y1", "Y2"])))
-    assert np.isfinite(certify._term_by_entropies(ch, noise, (1, 2)))
+    want = referee_kra_term(ch, noise, ifc.BoundTerm((1, 2), (1, 2)))
+    assert abs(certify._term_by_entropies(ch, noise, (1, 2)) - want) <= 1e-12 * want
+
+
+def _reproducer(shape, g):
+    """Large-gain channels on which a covariance-form re-check errs as eps g^2."""
+    return ifc.validate_channel(np.array({
+        "z3": [[g, 0.4, 0.2], [0, g, 0.3], [0, 0, g]],
+        "mac3": [[g, 0, 0], [3 * g, 1.2, 0], [4 * g, 0, 0.9]],
+        "z2": [[g, 0.4], [0, g]],
+    }[shape], dtype=complex))
+
+
+@pytest.mark.parametrize("shape, path, top", [
+    ("z3", PATH_Z, 5.75), ("mac3", PATH_MAC, 5.25), ("z2", PATH_Z, 5.75)])
+def test_large_gain_recovery_certificates_survive_their_rechecks(shape, path, top):
+    # g = 10^3 .. 10^top, past which the ladder refuses a pivot within
+    # EIG_TOL.  Covariance-form re-checks miss the exact values here by up to
+    # 3e-5 bits, eps g^2; the square-root ones stay within 1e-12 of them
+    for g in 10.0 ** np.arange(3.0, top + 0.1, 0.25):
+        ch = _reproducer(shape, g)
+        cert = ifc.certify_sum_capacity(ch)
+        assert (cert.status, cert.path) == (CERTIFIED, path), g
+        users = tuple(range(1, ch.K + 1))
+        rec = ifc.recover_noise_correlation(ch)
+        want = referee_kra_term(ch, rec, ifc.BoundTerm(users, users))
+        assert abs(certify._term_by_entropies(ch, rec, users) - want) <= 1e-12 * want, g
+        assert abs(certify._ladder_by_information(ch) - ifc.tin_sum_rate(ch)) <= 1e-12 * want, g
+
+
+def test_square_root_ladder_refuses_as_the_covariance_route_did():
+    # at g = 1e6 Y3 given (X3, X1, X2) keeps 1e-12 of its variance, the same
+    # query conditional_mi refused on
+    with pytest.raises(SingularCovariance,
+                       match=r"cov of \['Y3'\] given \['X3', 'X1', 'X2'\] has a pivot"):
+        certify._ladder_by_information(_reproducer("z3", 1e6))
+    with pytest.raises(SingularCovariance, match=r"cov of \['Y2'\] given \['X1'\] has a pivot"):
+        certify._ladder_by_information(_reproducer("mac3", 10 ** 5.75))
