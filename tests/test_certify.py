@@ -331,8 +331,8 @@ def _constructed(rng, kind, K):
 @pytest.mark.parametrize("kind", ["z", "mac", "many-to-one"])
 def test_square_root_entropy_chain_matches_the_per_query_chain(kind):
     # every ordering up to K=4, six random ones beyond.  The two chains round
-    # differently, by up to 1.8e-13 of the term over 300 seeded draws; a flat
-    # 1e-12 bits failed on 36 of them, whose terms reach 20 bits and more
+    # differently, by up to 3e-14 of the term here; with other draws a term
+    # of 21 bits differed by 1.25e-12 bits, so the bound scales with the term
     rng = np.random.default_rng(58)
     for K in range(2, 7):
         for _ in range(3):
