@@ -180,7 +180,7 @@ def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
     perm = ineq.witness["perm"]
     if ineq.family == FAMILY_KRA:
         return _term_by_entropies(ch, NoiseCorrelation(ineq.witness["sigma"]), perm)
-    return _etw_closed_form(ch.entries, BoundTerm(ineq.subset, perm))[0](ineq.witness["rhos"])
+    return _etw_closed_form(ch.entries, BoundTerm(ineq.subset, perm), ineq.witness["rhos"])
 
 
 def _recheck(upper: float, upper2: float, lower: float, lower2: float) -> None:

@@ -14,7 +14,12 @@ S and an ordering pi of S:
   noise and the receiver noise, again minimized.
 
 Every search over a single complex correlation -- each ETW summand and each
-KRA term on a pair of users -- is solved in closed form (``_pair_rho``).
+KRA term on a pair of users -- is solved in closed form (``_pair_rho``).  An
+ETW summand depends only on the pair (k, pi_k), so its closed-form data,
+minimizer and values are kept in one K x K pair table per channel
+(``_etw_pairs``, memoised on the channel's entries for the last channel
+seen); ``etw_term_min`` ranks its candidates from it, and ``certify``'s
+closed-form re-check (``_etw_closed_form``) reads its summand data.
 A KRA term on three or more users is convex in the noise correlation, and is
 minimized by one BFGS start with the analytic gradient over a factored
 correlation Sigma = U U^H whose rows of U are kept at unit length, which keeps
@@ -33,6 +38,7 @@ witness is embedded back at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -396,14 +402,44 @@ def _etw_summand(rho: complex, vy: float, vg: float, c0: complex) -> float:
     return float(np.log2(num) - np.log2(den))
 
 
-def _etw_closed_form(H: np.ndarray, t: BoundTerm) -> Tuple[Callable, Tuple[complex, ...]]:
-    """The genie term of t in closed form: its value (bits) as a function of
-    the correlations, and the _pair_rho minimizer of each summand."""
-    data = [_etw_summand_data(H, k, m) for k, m in zip(t.subset, t.perm)]
+class _EtwPair(NamedTuple):
+    """One genie summand, pair (k, m): its _etw_summand_data, its _pair_rho
+    minimizer, and its value at rho = 0 and at that minimizer."""
 
-    def value(rhos: Sequence[complex]) -> float:
-        return sum(_etw_summand(r, *d) for r, d in zip(rhos, data))
-    return value, tuple(_pair_rho(vy * vg, c0) for vy, vg, c0 in data)
+    data: Tuple[float, float, complex]
+    rho: complex
+    at_zero: float
+    at_rho: float
+
+
+@functools.lru_cache(maxsize=1)
+def _etw_pair_table(entries: bytes, K: int) -> Dict[Tuple[int, int], _EtwPair]:
+    """The pair table of the channel whose entries have these bytes, empty
+    until _etw_pairs fills it.  The key is the whole matrix, so one channel's
+    table never serves another."""
+    return {}
+
+
+def _etw_pairs(H: np.ndarray, t: BoundTerm) -> List[_EtwPair]:
+    """The table entries of t's summands, (k, pi_k) for k in S ascending;
+    each pair is computed once per channel, on first use."""
+    table = _etw_pair_table(H.tobytes(), H.shape[0])
+    out = []
+    for k, m in zip(t.subset, t.perm):
+        pair = table.get((k, m))
+        if pair is None:
+            data = _etw_summand_data(H, k, m)
+            rho = _pair_rho(data[0] * data[1], data[2])
+            pair = table[k, m] = _EtwPair(data, rho, _etw_summand(0j, *data),
+                                          _etw_summand(rho, *data))
+        out.append(pair)
+    return out
+
+
+def _etw_closed_form(H: np.ndarray, t: BoundTerm, rhos: Sequence[complex]) -> float:
+    """The genie term of t at the correlations rhos in closed form (bits),
+    from the summand data in the pair table."""
+    return sum(_etw_summand(r, *p.data) for r, p in zip(rhos, _etw_pairs(H, t)))
 
 
 def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> float:
@@ -446,11 +482,16 @@ def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex,
     Up to the constant -log2(v_g), a summand is
     log2(v_y v_g - |c0 + rho|^2) - log2(1 - |rho|^2), and Cauchy-Schwarz gives
     v_y v_g >= (1 + |c0|)^2, so _pair_rho returns its exact minimizer.
-    rho = 0 and those minimizers are ranked by the closed form (stably, so
-    rho = 0 wins ties) and re-scored through etw_term_value by _first_scored.
+    A summand depends only on the pair (k, pi_k), so its data, its minimizer
+    and its values at rho = 0 and at the minimizer are read from the
+    channel's pair table (_etw_pairs), where each pair is computed once.
+    rho = 0 and the minimizers are ranked by the sums of those values, rho = 0
+    first on a tie, and re-scored through etw_term_value by _first_scored.
     """
-    closed, best = _etw_closed_form(ch.entries, t)
-    ranked = sorted([tuple(0j for _ in best), best], key=closed)
+    pairs = _etw_pairs(ch.entries, t)
+    zero, best = tuple(0j for _ in pairs), tuple(p.rho for p in pairs)
+    ranked = ([best, zero] if sum(p.at_rho for p in pairs) < sum(p.at_zero for p in pairs)
+              else [zero, best])
     return _first_scored(ranked, lambda rhos: (etw_term_value(ch, t, rhos), rhos))
 
 

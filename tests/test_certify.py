@@ -205,13 +205,20 @@ def test_numeric_match(H, family, perm):
 
 
 @pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
-def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, H, family, perm):
+def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, patch_pair_code,
+                                                      H, family, perm):
     # region scores the winner by kra_term_value / etw_term_value; the recheck
     # must reach the entropy chain (KRA) or the closed-form summands (ETW)
     owner, name = ((certify, "_term_by_entropies") if family == "KRA"
                    else (outer_bound, "_etw_summand"))
     route = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: route(*args) + 1e-6)
+
+    def doctored(*args):
+        return route(*args) + 1e-6
+    if owner is outer_bound:
+        patch_pair_code(name, doctored)  # the ETW pair table is filled through it
+    else:
+        monkeypatch.setattr(owner, name, doctored)
     with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
         ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
 

@@ -474,6 +474,27 @@ def test_gain_sweep_certify_on_a_large_z_channel(gain_sweep):
     assert gain_sweep[SWEEP_MISMATCH]["code"] != 4
 
 
+def test_one_process_serves_each_channel_its_own_pair_table(capsys, tmp_path):
+    # the ETW pair table is memoised per channel: B is A with one cross gain's
+    # phase turned, and a generic K=2 certify runs between them
+    turned = (0.4 + 0.3j) * np.exp(1j)
+    a = spec_file(tmp_path, "a.json", [[1.0, [0.4, 0.3], 0.2], [[0.5, -0.2], 1.2, 0.6],
+                                       [0.3, [0.0, 0.7], 0.9]])
+    b = spec_file(tmp_path, "b.json", [[1.0, [turned.real, turned.imag], 0.2],
+                                       [[0.5, -0.2], 1.2, 0.6], [0.3, [0.0, 0.7], 0.9]])
+    c = spec_file(tmp_path, "c.json", [[1.0, [0.6, 0.2]], [[0.5, -0.4], 1.3]])
+    etw_a, etw_b = ["evaluate", "--families", "etw", a], ["evaluate", "--families", "etw", b]
+    argvs = [etw_a, etw_b, ["certify", c], etw_a]
+    in_process = [run(capsys, argv)[:2] for argv in argvs]
+    expected = {}
+    for argv in argvs:
+        if tuple(argv) not in expected:
+            res = fresh("-m", "ifcbounds", *argv)
+            expected[tuple(argv)] = (res.returncode, res.stdout)
+    assert in_process == [expected[tuple(argv)] for argv in argvs]
+    assert in_process[0] != in_process[1]
+
+
 BIG_INT = 10 ** 400  # a JSON integer past the float range
 
 

@@ -527,15 +527,44 @@ def test_genie_residual_check_holds_at_large_cross_gains():
             ifc.etw_term_value(ch, t, [0.9 * np.exp(1j * k) for k in range(t.size)])
 
 
-def test_etw_zero_rho_guard_beats_a_poor_pair_rho(monkeypatch):
-    # anti-aligned with the signal cross term, 0.9 costs more than it saves
-    monkeypatch.setattr(outer_bound, "_pair_rho", lambda p, c: -0.9 * c / abs(c) if c else 0.9j)
+def test_etw_zero_rho_guard_beats_a_poor_pair_rho(patch_pair_code):
     ch = random_channel(np.random.default_rng(47), 3)
+    ifc.region(ch, families="etw")  # fills this channel's pair table unpatched
+    # anti-aligned with the signal cross term, 0.9 costs more than it saves
+    patch_pair_code("_pair_rho", lambda p, c: -0.9 * c / abs(c) if c else 0.9j)
     for t in ifc.enumerate_terms(3):
         zeros = (0j,) * t.size
         val, rhos = ifc.etw_term_min(ch, t)
         assert rhos == zeros
         assert val == ifc.etw_term_value(ch, t, zeros)
+
+
+def test_etw_region_computes_each_summand_pair_once(patch_pair_code):
+    # a summand depends only on (k, pi_k): 16 pairs on K = 4, against 196
+    # summands over the 64 terms; each term is still re-scored once
+    calls = dict.fromkeys(["_etw_summand_data", "_pair_rho", "etw_term_value"], 0)
+
+    def counting(name, reference):
+        def wrapped(*args):
+            calls[name] += 1
+            return reference(*args)
+        return wrapped
+
+    for name in calls:
+        patch_pair_code(name, counting(name, getattr(outer_bound, name)))
+    ifc.region(random_channel(np.random.default_rng(49), 4), families="etw")
+    assert calls["_etw_summand_data"] == 16 and calls["_pair_rho"] <= 16
+    assert calls["etw_term_value"] == 64
+
+
+def test_etw_pair_table_is_keyed_by_the_whole_channel():
+    H = random_channel(np.random.default_rng(50), 3).entries.copy()
+    t = ifc.BoundTerm((1, 2, 3), (2, 3, 1))
+    before = ifc.etw_term_min(ifc.validate_channel(H), t)
+    H[0, 2] *= np.exp(0.8j)  # one cross gain's phase turned
+    turned = ifc.etw_term_min(ifc.validate_channel(H), t)
+    outer_bound._etw_pair_table.cache_clear()
+    assert ifc.etw_term_min(ifc.validate_channel(H), t) == turned != before
 
 
 # ---------------------------------------------------------------------------
