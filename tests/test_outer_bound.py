@@ -557,14 +557,15 @@ def test_etw_region_computes_each_summand_pair_once(patch_pair_code):
     assert calls["etw_term_value"] == 64
 
 
-def test_etw_pair_table_is_keyed_by_the_whole_channel():
-    H = random_channel(np.random.default_rng(50), 3).entries.copy()
-    t = ifc.BoundTerm((1, 2, 3), (2, 3, 1))
-    before = ifc.etw_term_min(ifc.validate_channel(H), t)
-    H[0, 2] *= np.exp(0.8j)  # one cross gain's phase turned
-    turned = ifc.etw_term_min(ifc.validate_channel(H), t)
-    outer_bound._etw_pair_table.cache_clear()
-    assert ifc.etw_term_min(ifc.validate_channel(H), t) == turned != before
+def test_etw_pair_table_gives_each_term_its_own_closed_form():
+    # bit for bit what the term's own summands give, with rho = 0 first on a tie
+    ch = random_channel(np.random.default_rng(51), 4)
+    for t in ifc.enumerate_terms(4):
+        data = [_etw_summand_data(ch.entries, k, m) for k, m in zip(t.subset, t.perm)]
+        best = tuple(outer_bound._pair_rho(vy * vg, c0) for vy, vg, c0 in data)
+        top = min([(0j,) * t.size, best],
+                  key=lambda rhos: sum(_etw_summand(r, *d) for r, d in zip(rhos, data)))
+        assert ifc.etw_term_min(ch, t) == (ifc.etw_term_value(ch, t, top), top), t
 
 
 # ---------------------------------------------------------------------------
