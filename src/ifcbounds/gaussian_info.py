@@ -2,10 +2,12 @@
 
 Everything here reduces to log-determinants of conditional covariances, each
 read off the Cholesky factor of one joint covariance block; this module is
-the engine every bound term runs on.  :func:`build_joint` writes the joint
-vector as one invertible linear map of inputs and noises, so of its already
-validated inputs only the noise law is left to check; queries are then pure
-covariance algebra.  ``model.make_joint`` validates covariances from elsewhere.
+the engine every bound term runs on.  Each law resolves its labels once, when
+it is built, and each query reads its factor's pivots once.
+:func:`build_joint` writes the joint vector as one invertible linear map of
+inputs and noises, so of its already validated inputs only the noise law is
+left to check; queries are then pure covariance algebra.
+``model.make_joint`` validates covariances from elsewhere.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -115,10 +117,12 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
 # corner factors Cov(A | C), and the rows of A left of that corner hold the
 # regression of A on C, so no conditioning block is ever inverted.
 
-def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarray:
-    """Cholesky factor of the joint block ordered (C, A); a failed factor or a
-    trailing pivot at or below EIG_TOL times its variance raises
-    SingularCovariance."""
+def _cholesky(j: JointGaussian, a: Sequence[str],
+              c: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of the joint block ordered (C, A) and its trailing
+    |A| pivots |diag(L)[|C|:]|, read once for both the refusal and the
+    log-det; a failed factor or a squared pivot at or below EIG_TOL times its
+    variance raises SingularCovariance."""
     idx = j.indices(list(c) + list(a))
     block = j.cov[np.ix_(idx, idx)]
     try:
@@ -126,18 +130,18 @@ def _cholesky(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> np.ndarra
     except np.linalg.LinAlgError:
         raise SingularCovariance(
             f"joint cov of {list(c)} and {list(a)} is not positive definite") from None
-    pivots = np.diagonal(L)[len(c):].real ** 2
-    var = np.diagonal(block)[len(c):].real
-    if np.any(pivots <= EIG_TOL * var):
+    pivots = np.diagonal(L)[len(c):].real  # a Cholesky diagonal is real and positive
+    squares, var = pivots ** 2, np.diagonal(block)[len(c):].real
+    if np.any(squares <= EIG_TOL * var):
         raise SingularCovariance(
             f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
-            f"its variance ({np.min(pivots / var):.3e} of it), lost to round-off")
-    return L
+            f"its variance ({np.min(squares / var):.3e} of it), lost to round-off")
+    return L, pivots
 
 
 def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
-    """log2 det Cov(A | C): the trailing |A| pivots of the (C, A) factor."""
-    return 2.0 * float(np.sum(np.log2(np.diagonal(_cholesky(j, a, c))[len(c):].real)))
+    """log2 det Cov(A | C): twice the summed log2 of the (C, A) factor's trailing pivots."""
+    return 2.0 * float(np.sum(np.log2(_cholesky(j, a, c)[1])))
 
 
 def regression_coefficients(j: JointGaussian, targets: Sequence[str],
@@ -148,7 +152,7 @@ def regression_coefficients(j: JointGaussian, targets: Sequence[str],
     Sigma_PP = L_PP L_PP^H, so W = L_TP L_PP^-1.
     """
     n = len(predictors)
-    L = _cholesky(j, targets, predictors)
+    L, _ = _cholesky(j, targets, predictors)
     return np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
 
 

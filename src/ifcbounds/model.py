@@ -155,23 +155,23 @@ class JointGaussian:
 
     labels: tuple
     cov: np.ndarray = field(repr=False)
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(index) != len(self.labels):
             raise LabelOverlap(f"duplicate labels: {self.labels}")
+        object.__setattr__(self, "_index", index)  # label -> position, built once
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def indices(self, names: Iterable[str]) -> list:
-        lookup = {lab: i for i, lab in enumerate(self.labels)}
-        out = []
-        for name in names:
-            if name not in lookup:
-                raise KeyError(f"label {name!r} not in joint ({self.labels})")
-            out.append(lookup[name])
-        return out
+        try:
+            return [self._index[name] for name in names]
+        except KeyError as e:
+            raise KeyError(f"label {e.args[0]!r} not in joint ({self.labels})") from None
 
     def __repr__(self) -> str:
         return f"JointGaussian(labels={self.labels})"

@@ -10,6 +10,8 @@ from itertools import combinations
 import numpy as np
 
 import ifcbounds as ifc
+from ifcbounds.errors import SingularCovariance
+from ifcbounds.gaussian_info import EIG_TOL
 from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
 
@@ -116,6 +118,32 @@ def random_joint(rng, K):
     ch = random_channel(rng, K)
     sig = sample_interior_sigma(rng, K)
     return ifc.build_joint(ch, sig), ch, sig
+
+
+# ---------------------------------------------------------------------------
+# the engine's conditioning queries, spelled the plain way
+
+def referee_conditioning(j, a, c):
+    """(log2 det Cov(A | C), W with E[A | C] = W c) from one Cholesky factor of
+    the (C, A) block, its labels looked up one by one in ``j.labels``.  A
+    failed factor or a squared trailing pivot at or below EIG_TOL times its
+    variance raises SingularCovariance with the engine's refusal texts."""
+    a, c = list(a), list(c)
+    idx = [j.labels.index(lab) for lab in c + a]
+    block = j.cov[np.ix_(idx, idx)]
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance(f"joint cov of {c} and {a} is not positive definite") from None
+    n = len(c)
+    pivots = np.diagonal(L)[n:].real ** 2
+    var = np.diagonal(block)[n:].real
+    if np.any(pivots <= EIG_TOL * var):
+        raise SingularCovariance(
+            f"cov of {a} given {c} has a pivot within EIG_TOL = {EIG_TOL:g} times "
+            f"its variance ({np.min(pivots / var):.3e} of it), lost to round-off")
+    logdet = 2.0 * float(np.sum(np.log2(np.diagonal(L)[n:].real)))
+    return logdet, np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
 
 
 # ---------------------------------------------------------------------------

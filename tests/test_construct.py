@@ -4,6 +4,7 @@ import pytest
 import ifcbounds as ifc
 from ifcbounds.errors import (
     ConditionViolated,
+    InternalConsistencyError,
     NonStandardDiagonal,
     WitnessFailure,
 )
@@ -131,3 +132,13 @@ def test_witness_failure_surfaces_from_builder(monkeypatch):
         construct.build_z_channel(sig, [1.0, 1.0])
     with pytest.raises(WitnessFailure):  # many_to_one is checked as a Z construction
         construct.many_to_one([0.5, 0.3j], [1.0, 2.0, 1.5])
+
+
+@pytest.mark.xfail(strict=True, raises=InternalConsistencyError,
+                   reason="ROADMAP item 4: at large direct gains the witness's coefficient route "
+                          "reads 1e-9 to 1e-6 where the information route reads 0")
+def test_large_direct_gains_build_their_constructions():
+    many = ifc.many_to_one([0.5, 0.3], [300.0, 200.0, 500.0])
+    z = ifc.build_z_channel(ifc.validate_noise_correlation([[1.0, 0.5], [0.5, 1.0]]),
+                            [3000.0, 2000.0])
+    assert np.all(np.tril(many.entries, -1) == 0) and np.all(np.tril(z.entries, -1) == 0)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import re
+
 from hypothesis import given, settings, strategies as st
 
 import ifcbounds as ifc
 from ifcbounds.errors import (
-    IndexOutOfRange, LabelOverlap, NotPSD, RhoTooLarge, SingularCovariance)
+    IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
+    SingularCovariance)
 from ifcbounds.gaussian_info import LOG2PIE, regression_coefficients
 
 from support import (
-    random_channel, random_joint, referee_joint_cov, referee_log2det, sample_interior_sigma)
+    random_channel, random_joint, referee_conditioning, referee_joint_cov, referee_log2det,
+    sample_interior_sigma)
 
 LOG2PIE_EXPECTED = np.log2(np.pi * np.e)
 
@@ -322,3 +326,109 @@ def test_regression_coefficients_recover_linear_model():
     j = ifc.build_joint(ch, ifc.identity_noise(2))
     coef = regression_coefficients(j, ["Y1"], ["X1", "X2"])
     assert np.allclose(coef, H[0:1, :], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the conditioning queries against the plain route, bit for bit
+
+def _random_law(rng):
+    """build_joint on K = 2..4 users, with or without a noise coupling and
+    genies; returns the law and whether it has a coupling."""
+    while True:
+        K = int(rng.integers(2, 5))
+        ch = random_channel(rng, K)
+        noise = sample_interior_sigma(rng, K) if rng.random() < 0.5 else None
+        genies = _random_genies(rng, K, int(rng.integers(0, K + 1)), 0.9)
+        try:
+            return ifc.build_joint(ch, noise, genies), noise is not None
+        except NotPSD:  # the coupling leaves no room for these rhos
+            continue
+
+
+def _random_query(rng, labels):
+    """Disjoint label lists (A, B, C) in random order, A and B nonempty."""
+    while True:
+        labels = [str(lab) for lab in rng.permutation(labels)]
+        part = rng.integers(0, 4, len(labels))  # 3 leaves a label out
+        a, b, c = ([lab for lab, p in zip(labels, part) if p == i] for i in range(3))
+        if a and b:
+            return a, b, c
+
+
+def _same_refusal(call, want_exc):
+    with pytest.raises(SingularCovariance) as got:
+        call()
+    assert str(got.value) == str(want_exc)
+
+
+def test_conditioning_queries_match_the_plain_route_bit_for_bit():
+    rng = np.random.default_rng(2301)
+    n_genie = n_noise = 0
+    for _ in range(120):
+        j, coupled = _random_law(rng)
+        n_genie += any(lab.startswith("G") for lab in j.labels)
+        n_noise += coupled
+        for _ in range(4):
+            a, b, c = _random_query(rng, j.labels)
+            ld_c, W = referee_conditioning(j, a, c)
+            ld_bc, _ = referee_conditioning(j, a, b + c)
+            assert ifc.conditional_entropy(j, a, c) == len(a) * LOG2PIE + ld_c
+            mi = ld_c - ld_bc
+            if mi < -1e-9:
+                with pytest.raises(InternalConsistencyError):
+                    ifc.conditional_mi(j, a, b, c)
+            else:
+                assert ifc.conditional_mi(j, a, b, c) == max(mi, 0.0)
+            if c:
+                assert np.array_equal(regression_coefficients(j, a, c), W)
+    assert n_genie >= 60 and n_noise >= 30
+
+
+def test_refusal_texts_are_unchanged():
+    # a lost pivot: noise correlation 1 - 1e-13 all but pins Y2 given (X1, X2, Y1)
+    ch = ifc.validate_channel(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    sig = ifc.validate_noise_correlation([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]])
+    j = ifc.build_joint(ch, sig)
+    a, c = ["Y2"], ["X2", "X1", "Y1"]
+    with pytest.raises(SingularCovariance) as want:
+        referee_conditioning(j, a, c)
+    assert re.fullmatch(
+        r"cov of \['Y2'\] given \['X2', 'X1', 'Y1'\] has a pivot within EIG_TOL = 1e-12 "
+        r"times its variance \(\d\.\d{3}e[+-]\d+ of it\), lost to round-off", str(want.value))
+    _same_refusal(lambda: ifc.conditional_entropy(j, a, c), want.value)
+    _same_refusal(lambda: ifc.conditional_mi(j, a, ["X2"], ["X1", "Y1"]), want.value)
+    _same_refusal(lambda: regression_coefficients(j, a, c), want.value)
+
+    # a block that is not positive definite
+    j = ifc.JointGaussian(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
+    with pytest.raises(SingularCovariance) as want:
+        referee_conditioning(j, ["B"], ["A"])
+    assert str(want.value) == "joint cov of ['A'] and ['B'] is not positive definite"
+    _same_refusal(lambda: ifc.conditional_entropy(j, ["B"], ["A"]), want.value)
+    _same_refusal(lambda: ifc.conditional_mi(j, ["B"], ["A"]), want.value)
+    _same_refusal(lambda: regression_coefficients(j, ["B"], ["A"]), want.value)
+    _same_refusal(lambda: ifc.diff_entropy(j, ["A", "B"]),
+                  "joint cov of [] and ['A', 'B'] is not positive definite")
+
+
+def test_each_law_answers_with_its_own_label_order():
+    rng = np.random.default_rng(2302)
+    j1 = ifc.build_joint(random_channel(rng, 3), None, [ifc.GenieSpec(2, 0.4j, 1)])
+    perm = rng.permutation(j1.dim)
+    j2 = ifc.JointGaussian(tuple(j1.labels[p] for p in perm), j1.cov[np.ix_(perm, perm)])
+    names = ["G2", "Y3", "X1", "Y1"]
+    for j in (j2, j1, j2):
+        got = j.indices(names)
+        assert type(got) is list and got == [j.labels.index(n) for n in names]
+    assert j1.indices(names) != j2.indices(names)
+    a, c = ["Y1", "G2"], ["X2", "Y3"]
+    assert ifc.conditional_entropy(j1, a, c) == ifc.conditional_entropy(j2, a, c)
+
+
+def test_unknown_label_raises_key_error_naming_it():
+    j = ifc.build_joint(ifc.validate_channel(np.eye(2)))
+    for call in (lambda: j.indices(["X1", "Y9"]),
+                 lambda: ifc.conditional_entropy(j, ["Y9"], ["X1"])):
+        with pytest.raises(KeyError) as got:
+            call()
+        assert got.value.args == (f"label 'Y9' not in joint ({j.labels})",)
