@@ -8,10 +8,11 @@ collapses onto the interference-as-noise ladder: column k (k = K..2) is
     H[1:k-1, k] = (h_kk / (1 + ||H[k, k+1:]||^2)) * (rho_{k-1} + H[1:k-1, k+1:] H[k, k+1:]^H)
 
 with rho_{k-1} the first k-1 entries of sigma's column k.  The product's
-second factor is conjugated (forming a column); that convention is the one
-under which the degradedness identity holds, and every construction is
-checked against `degradedness_witness` before being returned, so a convention
-or feasibility slip fails loudly instead of producing a quietly wrong channel.
+second factor is conjugated (forming a column), the convention under which
+the degradedness identity holds.  Every construction is checked before being
+returned by `degradedness_witness`, which reads a QR factor of the law's
+square root, so a convention or feasibility slip fails loudly and a large gain
+costs the check eps times the gain, not its square.
 
 `invert_coupling_recursion` runs it backward on any upper triangle: it warm
 starts `outer_bound`'s KRA solves, and `certify` recovers the generating
@@ -36,7 +37,7 @@ from .errors import (
     NotSorted,
     WitnessFailure,
 )
-from .gaussian_info import EIG_TOL, build_joint, conditional_mi, regression_coefficients
+from .gaussian_info import EIG_TOL, refuse_lost_pivots, square_root
 from .model import (
     PSD_EIG_TOL,
     ChannelMatrix,
@@ -55,10 +56,9 @@ class WitnessReport:
     """Per-receiver degradedness residuals.
 
     residuals[i] = (k, coef, mi): for receiver index k, `coef` is the largest
-    magnitude the MMSE estimate of the earlier outputs from
-    (Y_k, X_1..X_k) assigns to X_k, and `mi` is
-    I(Y_1..Y_{k-1}; X_k | Y_k, X_1..X_{k-1}) in bits.  Degradedness makes
-    both vanish.
+    magnitude the MMSE estimate of the earlier outputs from (Y_k, X_1..X_k)
+    assigns to X_k, and `mi` is I(Y_1..Y_{k-1}; X_k | Y_k, X_1..X_{k-1}) in
+    bits.  Degradedness makes both vanish.
     """
 
     passed: bool
@@ -72,29 +72,36 @@ def degradedness_witness(ch: ChannelMatrix, noise: NoiseCorrelation) -> WitnessR
     """Check that under `noise` the first k-1 outputs are degraded copies of
     output k once the first k-1 inputs are known, for every k.
 
-    Two equivalent residuals are computed — the estimator coefficient on X_k
-    and the leftover conditional information — and their pass/fail decisions
-    must agree; a split decision means the engine is inconsistent and raises.
+    Receiver k's residuals come from one QR factor R of the rows (C, x, T) =
+    (Y_k, X_<k, X_k, Y_<k) of `square_root`, so R^H R is their covariance.
+    With p = R[x, x], r = R[x, T] and R_TT the trailing block, given C:
+    Var(x) = |p|^2, Cov(T, x) = r^H p and Cov(T | x) = R_TT^H R_TT.  The
+    estimator of T from (C, x) weighs x by r^H p / |p|^2 = conj(r) / conj(p),
+    and by the determinant lemma I(T; x | C) = log2 det(R_TT^H R_TT + r^H r) /
+    det(R_TT^H R_TT) = log2(1 + ||R_TT^-H r^H||^2).  A pivot of x or T at or
+    below EIG_TOL times its variance raises SingularCovariance, and a split
+    pass/fail decision of the two residuals InternalConsistencyError.
     """
-    j = build_joint(ch, noise)  # refuses a coupling of another size
+    K = ch.K
+    root = square_root(ch, noise)  # refuses a coupling of another size
     residuals: List[Tuple[int, float, float]] = []
-    ok = True
-    for k in range(2, ch.K + 1):
-        targets = [f"Y{i}" for i in range(1, k)]
-        earlier_x = [f"X{i}" for i in range(1, k)]
-        predictors = [f"Y{k}"] + earlier_x + [f"X{k}"]
-        w = regression_coefficients(j, targets, predictors)
-        coef = float(np.max(np.abs(w[:, -1])))
-        mi = conditional_mi(j, targets, [f"X{k}"], [f"Y{k}"] + earlier_x)
-        pass_coef = coef <= WITNESS_TOL
-        pass_mi = mi <= WITNESS_TOL
-        if pass_coef != pass_mi:
+    for k in range(2, K + 1):
+        labels = [f"Y{k}"] + [f"X{i}" for i in range(1, k + 1)] + [f"Y{i}" for i in range(1, k)]
+        rows = root[[K + k - 1, *range(k), *range(K, K + k - 1)]]
+        R = np.linalg.qr(rows.conj().T, mode="r")
+        refuse_lost_pivots(np.abs(np.diagonal(R)[k:]) ** 2, np.sum(np.abs(rows[k:]) ** 2, axis=1),
+                           lambda i: (labels[k + i:k + i + 1], labels[:k + i]))
+        p, r = R[k, k], R[k, k + 1:]
+        u = np.linalg.solve(R[k + 1:, k + 1:].conj().T, r.conj())
+        coef = float(np.max(np.abs(r))) / abs(p)
+        mi = float(np.log1p(np.vdot(u, u).real) / np.log(2.0))
+        if (coef <= WITNESS_TOL) != (mi <= WITNESS_TOL):
             raise InternalConsistencyError(
                 f"witness disagreement at k={k}: coefficient {coef:.3e} vs "
                 f"information {mi:.3e} bits")
-        ok = ok and pass_coef
         residuals.append((k, coef, mi))
-    return WitnessReport(passed=ok, residuals=tuple(residuals))
+    return WitnessReport(passed=all(c <= WITNESS_TOL for _, c, _ in residuals),
+                         residuals=tuple(residuals))
 
 
 def build_z_channel(noise: NoiseCorrelation, diag_gains: Sequence[float]) -> ChannelMatrix:

@@ -1,13 +1,14 @@
 """Entropies and mutual informations of circularly-symmetric Gaussian vectors.
 
-Everything here reduces to log-determinants of conditional covariances, each
-read off the Cholesky factor of one joint covariance block; this module is
-the engine every bound term runs on.  Each law resolves its labels once, when
-it is built, and each query reads its factor's pivots once.
-:func:`build_joint` writes the joint vector as one invertible linear map of
-inputs and noises, so of its already validated inputs only the noise law is
-left to check; queries are then pure covariance algebra.
-``model.make_joint`` validates covariances from elsewhere.
+Everything here reduces to log-determinants of conditional covariances.  The
+engine every bound term runs on reads each off the Cholesky factor of one
+joint covariance block; a law resolves its labels once, and each query reads
+its factor's pivots once.  :func:`build_joint` writes the joint vector as one
+invertible linear map of inputs and noises, so only its noise law is left to
+check.  The check routes of ``construct`` and ``certify`` read the same pivots
+off a QR factor of the law's :func:`square_root`, which does not square the
+gains; all routes word a lost pivot alike.  ``model.make_joint`` validates
+covariances from elsewhere.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -16,7 +17,7 @@ circularly-symmetric vector with covariance S has h = log2 det(pi e S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class GenieSpec:
             raise RhoTooLarge(f"|rho| = {abs(self.rho):.8f} exceeds {RHO_CAP}")
 
 
+def _check_size(ch: ChannelMatrix, noise: Optional[NoiseCorrelation]) -> None:
+    if noise is not None and noise.K != ch.K:
+        raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {ch.K}x{ch.K}")
+
+
 def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
                 genies: Sequence[GenieSpec] = ()) -> JointGaussian:
     """Joint law of (X_1..X_K, Y_1..Y_K, G_m per genie) with unit-power inputs.
@@ -69,8 +75,7 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
     N = Cov(Z, Z~) = [[Sigma, C], [C^H, I]] is (C[k-1, a] = rho_a, k paired).
     """
     K = ch.K
-    if noise is not None and noise.K != K:
-        raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {K}x{K}")
+    _check_size(ch, noise)
     seen_targets = set()
     for g in genies:
         if not (1 <= g.target <= K) or not (1 <= g.paired_with <= K):
@@ -114,8 +119,13 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
 # conditioning through one Cholesky factor
 #
 # Factor the joint block ordered (C, A) as L L^H.  Its trailing |A| x |A|
-# corner factors Cov(A | C), and the rows of A left of that corner hold the
-# regression of A on C, so no conditioning block is ever inverted.
+# corner factors Cov(A | C), so no conditioning block is ever inverted.
+
+def _lost_pivot(a: Sequence[str], c: Sequence[str], ratio: float) -> SingularCovariance:
+    return SingularCovariance(
+        f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
+        f"its variance ({ratio:.3e} of it), lost to round-off")
+
 
 def _cholesky(j: JointGaussian, a: Sequence[str],
               c: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +143,7 @@ def _cholesky(j: JointGaussian, a: Sequence[str],
     pivots = np.diagonal(L)[len(c):].real  # a Cholesky diagonal is real and positive
     squares, var = pivots ** 2, np.diagonal(block)[len(c):].real
     if np.any(squares <= EIG_TOL * var):
-        raise SingularCovariance(
-            f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
-            f"its variance ({np.min(squares / var):.3e} of it), lost to round-off")
+        raise _lost_pivot(a, c, np.min(squares / var))
     return L, pivots
 
 
@@ -144,16 +152,32 @@ def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
     return 2.0 * float(np.sum(np.log2(_cholesky(j, a, c)[1])))
 
 
-def regression_coefficients(j: JointGaussian, targets: Sequence[str],
-                            predictors: Sequence[str]) -> np.ndarray:
-    """MMSE estimator matrix W with E[T | P] = W p (shape |T| x |P|).
+# ---------------------------------------------------------------------------
+# conditioning through a square root: (X, Y) = [[I, 0], [H, L]] (X, W), W white,
+# L L^H = Sigma.  A QR factor R of some of its rows (conjugated, as columns) has
+# R^H R = their covariance, so |R_ii|^2 is row i's variance given the rows
+# before it, with an error of eps times the gains, not their squares.
 
-    From the factor of the (P, T) block, Sigma_TP = L_TP L_PP^H and
-    Sigma_PP = L_PP L_PP^H, so W = L_TP L_PP^-1.
-    """
-    n = len(predictors)
-    L, _ = _cholesky(j, targets, predictors)
-    return np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
+def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None) -> np.ndarray:
+    """[[I, 0], [H, L]], rows X1..XK, Y1..YK, with L L^H = noise.sigma (I by default);
+    a coupling of another size raises IndexOutOfRange, a singular one SingularCovariance."""
+    K = ch.K
+    _check_size(ch, noise)
+    root = np.eye(2 * K, dtype=complex)
+    root[K:, :K] = ch.entries
+    if noise is not None:
+        try:
+            root[K:, K:] = np.linalg.cholesky(noise.sigma)
+        except np.linalg.LinAlgError:
+            raise SingularCovariance("the noise coupling is not positive definite") from None
+    return root
+
+
+def refuse_lost_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) -> None:
+    """SingularCovariance at the first squared pivot at or below EIG_TOL times its
+    variance; ``query(i)`` names pivot i's (target, given) labels."""
+    for i in np.flatnonzero(squares <= EIG_TOL * var)[:1]:
+        raise _lost_pivot(*query(int(i)), squares[i] / var[i])
 
 
 def _check_disjoint(a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> None:

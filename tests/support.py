@@ -217,6 +217,41 @@ def referee_kra_term(ch, noise, t):
         return float(total / Decimal(2).ln())
 
 
+def referee_etw_term(ch, t, rhos):
+    """ETW term t at the genie correlations rhos, from exact H at
+    REFEREE_DIGITS digits: per k in S with m = pi_k and rho its correlation,
+    log2(v_y v_g - |c0 + rho|^2) - log2 v_g - log2(1 - |rho|^2), with
+    v_y = 1 + |h_k|^2, v_g = 1 + |h_m|^2 less |h_mm|^2 and
+    c0 = sum_{i != m} h_ki conj(h_mi)."""
+    with localcontext() as ctx:
+        ctx.prec = REFEREE_DIGITS
+        H = [[_dec(x) for x in row] for row in ch.entries]
+        total = Decimal(0)
+        for k, m, rho in zip(t.subset, t.perm, rhos):
+            hk, hm = H[k - 1], H[m - 1]
+            others = [i for i in range(ch.K) if i != m - 1]
+            rho_re, rho_im = _dec(rho)
+            vy = 1 + sum(re * re + im * im for re, im in hk)
+            vg = 1 + sum(hm[i][0] ** 2 + hm[i][1] ** 2 for i in others)
+            c_re = rho_re + sum(hk[i][0] * hm[i][0] + hk[i][1] * hm[i][1] for i in others)
+            c_im = rho_im + sum(hk[i][1] * hm[i][0] - hk[i][0] * hm[i][1] for i in others)
+            total += (((vy * vg - c_re * c_re - c_im * c_im) / vg).ln()
+                      - (1 - rho_re * rho_re - rho_im * rho_im).ln())
+        return float(total / Decimal(2).ln())
+
+
+def witness_referee(ch, noise, k):
+    """(coef, mi) of receiver k's degradedness residuals by covariance
+    Cholesky factors (referee_conditioning): the largest weight the estimate
+    of Y_<k from (Y_k, X_<k, X_k) puts on X_k, and I(Y_<k; X_k | Y_k, X_<k)."""
+    j = ifc.build_joint(ch, noise)
+    targets = [f"Y{i}" for i in range(1, k)]
+    given = [f"Y{k}"] + [f"X{i}" for i in range(1, k)]
+    ld_c, _ = referee_conditioning(j, targets, given)
+    ld_cx, W = referee_conditioning(j, targets, given + [f"X{k}"])
+    return float(np.max(np.abs(W[:, -1]))), ld_c - ld_cx
+
+
 def referee_mac_slack(ch, k):
     """(S, lhs, rhs) at the least slack rhs - lhs of mac_feasibility's
     constraint for receiver k (0-based), found by enumerating all 2^n subsets

@@ -20,6 +20,7 @@ from ifcbounds.errors import SingularCovariance
 from ifcbounds.gaussian_info import LOG2PIE
 
 from support import (
+    random_channel,
     random_gains,
     random_rank_one,
     random_z_channel,
@@ -223,6 +224,24 @@ def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, patch_pair_c
         ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
 
 
+@pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
+def test_numeric_match_lower_recheck_is_the_square_root_ladder(monkeypatch, H, family, perm):
+    # both cases certify against TIN, re-checked with no earlier input known
+    ch = ifc.validate_channel(np.array(H))
+    assert max(ifc.region(ch, sum_rate_only=True).lower_bounds.items(),
+               key=lambda kv: kv[1])[0] == "TIN"
+    route = certify._ladder_by_information
+    calls = []
+
+    def doctored(*args, **kwargs):
+        calls.append(kwargs)
+        return route(*args, **kwargs) + 1e-6
+    monkeypatch.setattr(certify, "_ladder_by_information", doctored)
+    with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
+        ifc.certify_sum_capacity(ch)
+    assert calls == [{"earlier_known": False}]
+
+
 # a certificate of each ladder theorem, and the second routes its re-check reaches
 LADDER_RECHECKS = [
     ([[1.0, 1.0], [1.0, 1.0]], PATH_DEGRADED, "degraded_chain_sum_rate"),
@@ -402,3 +421,25 @@ def test_square_root_ladder_refuses_as_the_covariance_route_did():
         certify._ladder_by_information(_reproducer("z3", 1e6))
     with pytest.raises(SingularCovariance, match=r"cov of \['Y2'\] given \['X1'\] has a pivot"):
         certify._ladder_by_information(_reproducer("mac3", 10 ** 5.75))
+
+
+def test_interference_as_noise_ladder_matches_the_closed_form():
+    rng = np.random.default_rng(59)
+    for K in range(1, 6):
+        for scale in (0.5, 3.0, 300.0):
+            ch = random_channel(rng, K, scale)
+            want = ifc.tin_sum_rate_general(ch)
+            got = certify._ladder_by_information(ch, earlier_known=False)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (K, scale)
+
+
+def test_interference_as_noise_ladder_refuses_as_conditional_mi_does():
+    # a direct gain of 1e7 over unit interference leaves Y1 given X1 2e-14 of
+    # its variance
+    ch = ifc.validate_channel(np.array([[1e7, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularCovariance) as want:
+        ifc.conditional_mi(ifc.build_joint(ch), ["Y1"], ["X1"])
+    with pytest.raises(SingularCovariance) as got:
+        certify._ladder_by_information(ch, earlier_known=False)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("cov of ['Y1'] given ['X1'] has a pivot within EIG_TOL")

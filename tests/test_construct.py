@@ -4,12 +4,19 @@ import pytest
 import ifcbounds as ifc
 from ifcbounds.errors import (
     ConditionViolated,
-    InternalConsistencyError,
+    IndexOutOfRange,
     NonStandardDiagonal,
+    SingularCovariance,
     WitnessFailure,
 )
 
-from support import random_gains, random_z_channel, sample_interior_sigma
+from support import (
+    random_channel,
+    random_gains,
+    random_z_channel,
+    sample_interior_sigma,
+    witness_referee,
+)
 
 
 def test_z_channel_lower_triangle_is_exactly_zero():
@@ -45,6 +52,30 @@ def test_witness_rejects_generic_channel():
     rep = ifc.degradedness_witness(ch, ifc.identity_noise(2))
     assert not rep.passed
     assert rep.max_residual() > 1e-3
+
+
+def test_witness_residuals_match_a_covariance_referee():
+    # well-conditioned channels, degraded and generic: the square-root
+    # residuals agree with the covariance Cholesky ones
+    rng = np.random.default_rng(47)
+    for i in range(40):
+        K = int(rng.integers(2, 5))
+        if i % 2:
+            ch, sig = random_z_channel(rng, K)
+        else:
+            ch, sig = random_channel(rng, K), sample_interior_sigma(rng, K)
+        for k, coef, mi in ifc.degradedness_witness(ch, sig).residuals:
+            want_coef, want_mi = witness_referee(ch, sig, k)
+            assert abs(coef - want_coef) <= 1e-12 and abs(mi - want_mi) <= 1e-12, (i, k)
+
+
+def test_witness_refuses_couplings_it_cannot_factor():
+    ch = ifc.validate_channel(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(IndexOutOfRange, match="noise correlation is 3x3"):
+        ifc.degradedness_witness(ch, ifc.identity_noise(3))
+    singular = ifc.validate_noise_correlation([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        ifc.degradedness_witness(ch, singular)
 
 
 def test_recovery_round_trip():
@@ -134,11 +165,28 @@ def test_witness_failure_surfaces_from_builder(monkeypatch):
         construct.many_to_one([0.5, 0.3j], [1.0, 2.0, 1.5])
 
 
-@pytest.mark.xfail(strict=True, raises=InternalConsistencyError,
-                   reason="ROADMAP item 4: at large direct gains the witness's coefficient route "
-                          "reads 1e-9 to 1e-6 where the information route reads 0")
 def test_large_direct_gains_build_their_constructions():
     many = ifc.many_to_one([0.5, 0.3], [300.0, 200.0, 500.0])
     z = ifc.build_z_channel(ifc.validate_noise_correlation([[1.0, 0.5], [0.5, 1.0]]),
                             [3000.0, 2000.0])
     assert np.all(np.tril(many.entries, -1) == 0) and np.all(np.tril(z.entries, -1) == 0)
+
+
+def test_large_gain_z_constructions_pass_their_witness():
+    # direct gains up to 10^3.5: the covariance route split its decisions or
+    # failed degraded channels on about half of such draws
+    rng = np.random.default_rng(909)
+    for _ in range(60):
+        K = int(rng.integers(2, 6))
+        sig = sample_interior_sigma(rng, K)
+        ch = ifc.build_z_channel(sig, 10.0 ** rng.uniform(0.0, 3.5, K))
+        assert ifc.degradedness_witness(ch, sig).max_residual() <= 1e-10
+
+
+def test_constructions_at_gains_of_a_million_refuse_a_lost_pivot():
+    # X2 given (Y2, X1) keeps 1/(1 + g^2) of its variance: within EIG_TOL
+    sig = ifc.validate_noise_correlation([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(SingularCovariance, match=(
+            r"cov of \['X2'\] given \['Y2', 'X1'\] has a pivot within EIG_TOL = 1e-12")):
+        ifc.build_z_channel(sig, [1e6, 1e6])
+    ifc.build_z_channel(sig, [10 ** 5.5, 10 ** 5.5])

@@ -8,7 +8,7 @@ import ifcbounds as ifc
 from ifcbounds.errors import (
     IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
     SingularCovariance)
-from ifcbounds.gaussian_info import LOG2PIE, regression_coefficients
+from ifcbounds.gaussian_info import LOG2PIE
 
 from support import (
     random_channel, random_joint, referee_conditioning, referee_joint_cov, referee_log2det,
@@ -319,15 +319,6 @@ def test_incompatible_coupling_and_rho_rejected():
         ifc.build_joint(ch, sig, [ifc.GenieSpec(2, 0.9, 1)])
 
 
-def test_regression_coefficients_recover_linear_model():
-    # Y1 = h11 X1 + h12 X2 + Z1: regressing Y1 on (X1, X2) returns the gains
-    H = np.array([[1.5, 0.4 - 0.2j], [0.0, 1.0]], dtype=complex)
-    ch = ifc.validate_channel(H)
-    j = ifc.build_joint(ch, ifc.identity_noise(2))
-    coef = regression_coefficients(j, ["Y1"], ["X1", "X2"])
-    assert np.allclose(coef, H[0:1, :], atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the conditioning queries against the plain route, bit for bit
 
@@ -370,7 +361,7 @@ def test_conditioning_queries_match_the_plain_route_bit_for_bit():
         n_noise += coupled
         for _ in range(4):
             a, b, c = _random_query(rng, j.labels)
-            ld_c, W = referee_conditioning(j, a, c)
+            ld_c, _ = referee_conditioning(j, a, c)
             ld_bc, _ = referee_conditioning(j, a, b + c)
             assert ifc.conditional_entropy(j, a, c) == len(a) * LOG2PIE + ld_c
             mi = ld_c - ld_bc
@@ -379,8 +370,6 @@ def test_conditioning_queries_match_the_plain_route_bit_for_bit():
                     ifc.conditional_mi(j, a, b, c)
             else:
                 assert ifc.conditional_mi(j, a, b, c) == max(mi, 0.0)
-            if c:
-                assert np.array_equal(regression_coefficients(j, a, c), W)
     assert n_genie >= 60 and n_noise >= 30
 
 
@@ -397,7 +386,6 @@ def test_refusal_texts_are_unchanged():
         r"times its variance \(\d\.\d{3}e[+-]\d+ of it\), lost to round-off", str(want.value))
     _same_refusal(lambda: ifc.conditional_entropy(j, a, c), want.value)
     _same_refusal(lambda: ifc.conditional_mi(j, a, ["X2"], ["X1", "Y1"]), want.value)
-    _same_refusal(lambda: regression_coefficients(j, a, c), want.value)
 
     # a block that is not positive definite
     j = ifc.JointGaussian(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
@@ -406,7 +394,6 @@ def test_refusal_texts_are_unchanged():
     assert str(want.value) == "joint cov of ['A'] and ['B'] is not positive definite"
     _same_refusal(lambda: ifc.conditional_entropy(j, ["B"], ["A"]), want.value)
     _same_refusal(lambda: ifc.conditional_mi(j, ["B"], ["A"]), want.value)
-    _same_refusal(lambda: regression_coefficients(j, ["B"], ["A"]), want.value)
     _same_refusal(lambda: ifc.diff_entropy(j, ["A", "B"]),
                   "joint cov of [] and ['A', 'B'] is not positive definite")
 

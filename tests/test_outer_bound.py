@@ -32,6 +32,7 @@ from support import (
     random_channel,
     random_upper_triangular_channel,
     random_z_channel,
+    referee_etw_term,
     referee_kra_term,
     sample_interior_sigma,
 )
@@ -525,6 +526,28 @@ def test_genie_residual_check_holds_at_large_cross_gains():
         for t in ifc.enumerate_terms(K):
             assert np.isfinite(ifc.etw_term_min(ch, t)[0])
             ifc.etw_term_value(ch, t, [0.9 * np.exp(1j * k) for k in range(t.size)])
+
+
+def test_etw_referee_matches_the_closed_form():
+    rng = np.random.default_rng(71)
+    for K in (2, 3):
+        ch = random_channel(rng, K)
+        for t in ifc.enumerate_terms(K):
+            rhos = [0.9 * rng.random() * np.exp(2j * np.pi * rng.random()) for _ in range(t.size)]
+            want = referee_etw_term(ch, t, rhos)
+            assert abs(ifc.etw_term_value(ch, t, rhos) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the Cholesky route cancels eps g^2 "
+                                       "of each genie summand")
+@pytest.mark.parametrize("g", [1e4, 1e5])
+def test_etw_full_set_value_is_exact_at_its_witness(g):
+    # off by +5.7e-8 bits at 1e4 and -5.29e-6 bits at 1e5
+    ch = ifc.validate_channel(np.array([[1.0, g], [g, 1.0]]))
+    full = ifc.region(ch, families="etw").inequalities[-1]
+    want = referee_etw_term(ch, ifc.BoundTerm(full.subset, full.witness["perm"]),
+                            full.witness["rhos"])
+    assert abs(full.value_bits - want) <= 1e-9
 
 
 def test_etw_zero_rho_guard_beats_a_poor_pair_rho(patch_pair_code):
