@@ -15,9 +15,13 @@ successive-decoding ladder.
    rates survive every per-receiver joint decoding of the earlier users that
    receiver hears, so they are achievable; and the bound is the
    correlated-noise bound at the recovered coupling, scored by
-   ``outer_bound``'s telescoped log-det form (one batched slogdet).  A
-   coupling on the cone boundary, where that form is not finite, makes the
-   route step aside as degenerate.  The certificate is labelled Z_THEOREM2
+   ``outer_bound``'s telescoped log-det form with each block read off one
+   batched QR of its square root.  A coupling that is not positive definite,
+   as on the cone boundary, makes the route step aside as degenerate.  The
+   route's linear algebra does not grow with K: one SVD (the unit-rank
+   test), one eigen-solve (the recovered coupling's PSD test), two
+   Cholesky factors of the coupling and three QR calls (the bound, its
+   entropy chain and the ladder).  The certificate is labelled Z_THEOREM2
    when the gains are strictly upper triangular (no receiver hears an earlier
    user, so the decoding check holds trivially) and MAC_THEOREM3 otherwise.
 3. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
@@ -26,8 +30,8 @@ successive-decoding ladder.
 Every issued certificate is re-verified through independent recomputations of
 both sides before it is returned.  The chain of output entropies, the ladder
 and the interference-as-noise sum are recomputed off QR pivots of
-``gaussian_info.square_root``, so like the telescoped bound they err as eps
-times the gains, not their squares.  ``degradedness_witness`` is re-exported
+``gaussian_info.square_root``, so like the recovery route's bound they err as
+eps times the gains, not their squares.  ``degradedness_witness`` is re-exported
 from ``construct``, whose ``build_z_channel`` runs it; no route calls it.
 """
 
@@ -64,8 +68,7 @@ from .outer_bound import (
     FAMILY_KRA,
     BoundTerm,
     _etw_closed_form,
-    _lean_kra_value,
-    _term_grams,
+    _term_tails,
     region,
 )
 
@@ -133,13 +136,25 @@ def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation, order: Sequen
 
 def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation) -> float:
     """Natural-order full-set bound term at ``noise`` by the telescoped
-    log-det form region ranks candidates by; a coupling off the positive
-    definite cone raises SingularCovariance, as the joint-law routes do."""
-    value = _lean_kra_value(noise.sigma, _term_grams(ch.entries))
-    if not np.isfinite(value):
-        raise SingularCovariance("the bound's log-det blocks at the coupling are not "
-                                 "positive definite")
-    return value
+    log-det form region ranks candidates by, each block Sigma_n + T T^H read
+    off a QR factor of its square root [L_n | T], L L^H = Sigma.
+
+    Each root is padded to K rows with unit rows, so one batched QR serves
+    every block, and like the chain of output entropies it errs as eps times
+    the gains, not their squares.  A coupling that is not positive definite
+    raises SingularCovariance, as square_root does.
+    """
+    K = ch.K
+    L = square_root(ch, noise)[K:, K:]
+    tails = _term_tails(ch.entries)
+    roots = np.zeros((len(tails), K, 2 * K), dtype=complex)
+    for b, (n, tail) in enumerate(tails):
+        roots[b, :n, :n] = L[:n, :n]
+        roots[b, n:, n:K] = np.eye(K - n)
+        roots[b, :n, K:K + tail.shape[1]] = tail
+    R = np.linalg.qr(roots.conj().transpose(0, 2, 1), mode="r")
+    log2dets = 2.0 * np.sum(np.log2(np.abs(np.diagonal(R, axis1=1, axis2=2))), axis=1)
+    return float(np.repeat([1.0, -1.0], K) @ log2dets)
 
 
 def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:

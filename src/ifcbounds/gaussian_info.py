@@ -73,6 +73,14 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
     (X, Y, G) is [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the
     targets' channel rows less their direct gains, so it is PSD exactly when
     N = Cov(Z, Z~) = [[Sigma, C], [C^H, I]] is (C[k-1, a] = rho_a, k paired).
+
+    N is eigen-checked only when genies meet a noise coupling or share a
+    receiver.  Without genies N is Sigma: the identity, or a coupling
+    validated when it was built.  Without a coupling and with each genie on
+    its own receiver, N is a direct sum of ones and blocks
+    [[1, rho], [conj(rho), 1]], whose smallest eigenvalue 1 - max|rho| is at
+    least 1 - RHO_CAP > 0, so the check cannot fail; every ETW term's law is
+    of this kind.
     """
     K = ch.K
     _check_size(ch, noise)
@@ -96,7 +104,7 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
         B[K + a, g.target - 1] = 0.0
         N[g.paired_with - 1, K + a] = g.rho
         N[K + a, g.paired_with - 1] = np.conj(g.rho)
-    if n_g:  # without genies N is Sigma: the identity, or a validated coupling
+    if n_g and (noise is not None or len({g.paired_with for g in genies}) < n_g):
         w = np.linalg.eigvalsh(N)
         if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
             raise NotPSD(f"noise law of Sigma and the genie correlations has "
@@ -132,9 +140,10 @@ def _cholesky(j: JointGaussian, a: Sequence[str],
     """Cholesky factor L of the joint block ordered (C, A) and its trailing
     |A| pivots |diag(L)[|C|:]|, read once for both the refusal and the
     log-det; a failed factor or a squared pivot at or below EIG_TOL times its
-    variance raises SingularCovariance."""
+    variance raises SingularCovariance.  The block is selected by plain
+    indexing, rows then columns: the same entries as np.ix_, at less cost."""
     idx = j.indices(list(c) + list(a))
-    block = j.cov[np.ix_(idx, idx)]
+    block = j.cov[idx][:, idx]
     try:
         L = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:

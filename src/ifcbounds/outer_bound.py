@@ -184,15 +184,20 @@ class _TermBlocks(NamedTuple):
     signs: np.ndarray
 
 
+def _term_tails(Hr: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """(block size n, Gram factor T) of each telescoped block Sigma_n + T T^H:
+    the terms A_k, then B_k, then Sigma itself (T empty)."""
+    s = Hr.shape[0]
+    return ([(k, Hr[:k, k - 1:]) for k in range(1, s + 1)]
+            + [(k - 1, Hr[:k - 1, k - 1:]) for k in range(2, s + 1)]
+            + [(s, np.zeros((s, 0)))])
+
+
 def _term_grams(Hr: np.ndarray) -> _TermBlocks:
     s = Hr.shape[0]
-    # (block size, Gram factor) of the terms A_k, then B_k, then Sigma itself
-    specs = ([(k, Hr[:k, k - 1:]) for k in range(1, s + 1)]
-             + [(k - 1, Hr[:k - 1, k - 1:]) for k in range(2, s + 1)]
-             + [(s, np.zeros((s, 0)))])
     masks = np.zeros((2 * s, s, s))
     shifts = np.tile(np.eye(s, dtype=complex), (2 * s, 1, 1))
-    for b, (n, tail) in enumerate(specs):
+    for b, (n, tail) in enumerate(_term_tails(Hr)):
         masks[b, :n, :n] = 1.0
         shifts[b, :n, :n] = tail @ tail.conj().T
     return _TermBlocks(masks, shifts, np.repeat([1.0, -1.0], s))

@@ -4,6 +4,7 @@ Everything takes an explicit numpy Generator so individual tests stay
 reproducible under pytest -p no:randomly and friends.
 """
 
+import sys
 from decimal import Decimal, localcontext
 from itertools import combinations
 
@@ -14,6 +15,23 @@ from ifcbounds.errors import SingularCovariance
 from ifcbounds.gaussian_info import EIG_TOL
 from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
+
+
+def count_calls(monkeypatch, real):
+    """The argument tuples of every call of ``real``, through each module's
+    binding and numpy.linalg's."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ifcbounds" or name == "numpy.linalg":
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
 
 #: working precision of the referee below
 REFEREE_DIGITS = 50

@@ -474,11 +474,10 @@ def test_gain_sweep_certify_on_a_large_z_channel(gain_sweep):
     assert gain_sweep[SWEEP_MISMATCH]["code"] != 4
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the telescoped bound at the recovered "
-                   "coupling misses the ladder by 3.1e-9 bits, eps g^2")
 def test_large_gain_z_construction_certifies(capsys, tmp_path):
-    # build_z_channel at rho = 0.9 and gains [4, 2000]; evaluate --sum-rate-only
-    # exits 4 here too, both families 1.6e-9 bits below TIN
+    # build_z_channel at rho = 0.9 and gains [4, 2000]: the telescoped bound at
+    # the recovered coupling meets the ladder when read off square roots
+    # (evaluate --sum-rate-only still exits 4 here, ROADMAP item 4)
     code, out, _ = run(capsys, ["certify", spec_file(tmp_path, "z.json", [[4, 1800], [0, 2000]])])
     assert (code, json.loads(out)["path"]) == (0, "Z_THEOREM2")
 

@@ -8,11 +8,11 @@ import ifcbounds as ifc
 from ifcbounds.errors import (
     IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
     SingularCovariance)
-from ifcbounds.gaussian_info import LOG2PIE
+from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP
 
 from support import (
-    random_channel, random_joint, referee_conditioning, referee_joint_cov, referee_log2det,
-    sample_interior_sigma)
+    count_calls, random_channel, random_joint, referee_conditioning, referee_joint_cov,
+    referee_log2det, sample_interior_sigma)
 
 LOG2PIE_EXPECTED = np.log2(np.pi * np.e)
 
@@ -136,6 +136,41 @@ def test_infeasible_noise_law_refused_by_assembly_and_referee():
             ifc.build_joint(ch, sig, gens)
         with pytest.raises(NotPSD):
             referee_joint_cov(ch, sig, gens)
+
+
+def test_two_genies_on_one_receiver_are_eigen_checked_without_a_coupling():
+    ch = random_channel(np.random.default_rng(14), 3)
+    with pytest.raises(NotPSD):
+        ifc.build_joint(ch, None, [ifc.GenieSpec(2, 0.8, 3), ifc.GenieSpec(3, 0.8j, 3)])
+
+
+def test_genies_on_distinct_receivers_need_no_eigen_check():
+    # without a coupling, N = Cov(Z, Z~) is a direct sum of ones and blocks
+    # [[1, rho], [conj(rho), 1]]: its smallest eigenvalue is 1 - max|rho|,
+    # positive up to RHO_CAP, which is why build_joint skips the eigen-solve
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        K = int(rng.integers(1, 6))
+        n_g = int(rng.integers(1, K + 1))
+        mags = RHO_CAP * rng.random(n_g)
+        phases = np.exp(2j * np.pi * rng.random(n_g))
+        top = rng.integers(n_g)  # one genie at the cap, its phase a quarter turn
+        mags[top], phases[top] = RHO_CAP * rng.choice([0.5, 1.0]), 1j ** rng.integers(4)
+        genies = [ifc.GenieSpec(int(m), r * p, int(k))
+                  for m, k, r, p in zip(rng.permutation(K)[:n_g] + 1,
+                                        rng.permutation(K)[:n_g] + 1, mags, phases)]
+        j = ifc.build_joint(random_channel(rng, K), None, genies)
+        B = j.cov[K:, :K]
+        w = np.linalg.eigvalsh(j.cov[K:, K:] - B @ B.conj().T)
+        assert w[0] >= 1.0 - max(mags) - 1e-12, (K, n_g)
+
+
+def test_genie_terms_make_no_eigen_solve(monkeypatch):
+    # one law per (subset, ordering) term, 64 at K = 4, and none eigen-checked
+    laws = count_calls(monkeypatch, ifc.build_joint)
+    eigen = count_calls(monkeypatch, np.linalg.eigvalsh)
+    ifc.region(random_channel(np.random.default_rng(16), 4), families="etw")
+    assert (len(laws), len(eigen)) == (ifc.count_bounds(4), 0)
 
 
 # ---------------------------------------------------------------------------
