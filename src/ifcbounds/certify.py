@@ -15,29 +15,31 @@ successive-decoding ladder.
    rates survive every per-receiver joint decoding of the earlier users that
    receiver hears, so they are achievable; and the bound is the
    correlated-noise bound at the recovered coupling, scored by
-   ``outer_bound``'s telescoped log-det form with each block read off one
-   batched QR of its square root.  A coupling that is not positive definite,
-   as on the cone boundary, makes the route step aside as degenerate.  The
-   route's linear algebra does not grow with K: one SVD (the unit-rank
-   test), one eigen-solve (the recovered coupling's PSD test), two
+   ``outer_bound._bound_at_coupling``: the telescoped log-det form with each
+   block read off one batched QR of its square root.  A coupling that is not
+   positive definite, as on the cone boundary, makes the route step aside as
+   degenerate.  The route's linear algebra does not grow with K: one SVD (the
+   unit-rank test), one eigen-solve (the recovered coupling's PSD test), two
    Cholesky factors of the coupling and three QR calls (the bound, its
-   entropy chain and the ladder).  The certificate is labelled Z_THEOREM2
+   re-check and the ladder).  The certificate is labelled Z_THEOREM2
    when the gains are strictly upper triangular (no receiver hears an earlier
    user, so the decoding check holds trivially) and MAC_THEOREM3 otherwise.
 3. NUMERIC_MATCH — the optimized outer bound and the best general lower bound
    agree within tolerance.
 
 Every issued certificate is re-verified through independent recomputations of
-both sides before it is returned.  The chain of output entropies, the ladder
-and the interference-as-noise sum are recomputed off QR pivots of
-``gaussian_info.square_root``, so like the recovery route's bound they err as
-eps times the gains, not their squares.  ``degradedness_witness`` is re-exported
-from ``construct``, whose ``build_z_channel`` runs it; no route calls it.
+both sides before it is returned: a correlated-noise bound by the other of
+``outer_bound``'s two square-root routes (``kra_term_value`` for the recovery
+route, ``_bound_at_coupling`` for NUMERIC_MATCH), and the ladder and the
+interference-as-noise sum off QR pivots of ``gaussian_info.square_root``, so
+every re-check errs as eps times the gains, not their squares.
+``degradedness_witness`` is re-exported from ``construct``, whose
+``build_z_channel`` runs it; no route calls it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +69,9 @@ from .model import (
 from .outer_bound import (
     FAMILY_KRA,
     BoundTerm,
+    _bound_at_coupling,
     _etw_closed_form,
-    _term_tails,
+    kra_term_value,
     region,
 )
 
@@ -116,55 +119,14 @@ def _ladder_by_information(ch: ChannelMatrix, earlier_known: bool = True) -> flo
     return float(-np.sum(np.log2(own)))
 
 
-def _term_by_entropies(ch: ChannelMatrix, noise: NoiseCorrelation, order: Sequence[int]) -> float:
-    """Full-set bound term in the given order via the chain of output
-    entropies: sum_k h(Y_pi_k | X_pi_<k, Y_pi_<k) - h(Z_1..Z_K).
-
-    One QR of the square root's rows ordered (Y_pi_1, X_pi_1, ..., Y_pi_K)
-    holds every conditional output variance as a squared pivot; an output
-    pivot at or below EIG_TOL times its variance raises SingularCovariance,
-    as conditional_entropy's does.
-    """
-    K = ch.K
-    root = square_root(ch, noise)
-    rows = root[[i for u in order for i in (K + u - 1, u - 1)][:-1]]
-    pivots = np.abs(np.diagonal(np.linalg.qr(rows.conj().T, mode="r"))[0::2]) ** 2
-    refuse_lost_pivots(pivots, np.sum(np.abs(rows[0::2]) ** 2, axis=1), lambda k: (
-        [f"Y{order[k]}"], [f"X{u}" for u in order[:k]] + [f"Y{u}" for u in order[:k]]))
-    return float(np.sum(np.log2(pivots)) - 2.0 * np.sum(np.log2(np.diagonal(root)[K:].real)))
-
-
-def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation) -> float:
-    """Natural-order full-set bound term at ``noise`` by the telescoped
-    log-det form region ranks candidates by, each block Sigma_n + T T^H read
-    off a QR factor of its square root [L_n | T], L L^H = Sigma.
-
-    Each root is padded to K rows with unit rows, so one batched QR serves
-    every block, and like the chain of output entropies it errs as eps times
-    the gains, not their squares.  A coupling that is not positive definite
-    raises SingularCovariance, as square_root does.
-    """
-    K = ch.K
-    L = square_root(ch, noise)[K:, K:]
-    tails = _term_tails(ch.entries)
-    roots = np.zeros((len(tails), K, 2 * K), dtype=complex)
-    for b, (n, tail) in enumerate(tails):
-        roots[b, :n, :n] = L[:n, :n]
-        roots[b, n:, n:K] = np.eye(K - n)
-        roots[b, :n, K:K + tail.shape[1]] = tail
-    R = np.linalg.qr(roots.conj().transpose(0, 2, 1), mode="r")
-    log2dets = 2.0 * np.sum(np.log2(np.abs(np.diagonal(R, axis1=1, axis2=2))), axis=1)
-    return float(np.repeat([1.0, -1.0], K) @ log2dets)
-
-
 def _sum_rate_by_second_route(ch: ChannelMatrix, ineq: RateInequality) -> float:
     """The winning full-set inequality of a sum-rate-only region, re-scored at
-    its witness by another route than ``region``'s: the chain of output
-    entropies in the witness's order (KRA), or the closed-form summands (ETW)."""
-    perm = ineq.witness["perm"]
+    its witness by another route than ``region``'s: the telescoped form read
+    off square roots (KRA), or the closed-form summands (ETW)."""
+    t = BoundTerm(ineq.subset, ineq.witness["perm"])
     if ineq.family == FAMILY_KRA:
-        return _term_by_entropies(ch, NoiseCorrelation(ineq.witness["sigma"]), perm)
-    return _etw_closed_form(ch.entries, BoundTerm(ineq.subset, perm), ineq.witness["rhos"])
+        return _bound_at_coupling(ch, NoiseCorrelation(ineq.witness["sigma"]), t)
+    return _etw_closed_form(ch.entries, t, ineq.witness["rhos"])
 
 
 def _recheck(upper: float, upper2: float, lower: float, lower2: float) -> None:
@@ -230,10 +192,11 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
         if mac.feasible:
             path = PATH_Z if np.all(np.tril(H, -1) == 0) else PATH_MAC
             users = tuple(range(1, ch.K + 1))
+            full = BoundTerm(users, users)
             cert = _ladder_certificate(
                 ch, "bound at the recovered coupling",
-                lambda: _bound_at_coupling(ch, recovered),
-                lambda: _term_by_entropies(ch, recovered, users), path, details)
+                lambda: _bound_at_coupling(ch, recovered, full),
+                lambda: kra_term_value(ch, recovered, full), path, details)
             if cert is not None:
                 return cert
 

@@ -1,14 +1,14 @@
 """Entropies and mutual informations of circularly-symmetric Gaussian vectors.
 
 Everything here reduces to log-determinants of conditional covariances.  The
-engine every bound term runs on reads each off the Cholesky factor of one
-joint covariance block; a law resolves its labels once, and each query reads
-its factor's pivots once.  :func:`build_joint` writes the joint vector as one
-invertible linear map of inputs and noises, so only its noise law is left to
-check.  The check routes of ``construct`` and ``certify`` read the same pivots
-off a QR factor of the law's :func:`square_root`, which does not square the
-gains; all routes word a lost pivot alike.  ``model.make_joint`` validates
-covariances from elsewhere.
+genie terms, ``verify`` and the public queries read each off the Cholesky
+factor of one joint covariance block; a law resolves its labels once, and each
+query reads its factor's pivots once.  :func:`build_joint` writes the joint
+vector as one invertible linear map of inputs and noises, so only its noise
+law is left to check.  The correlated-noise terms, ``construct`` and
+``certify`` read the same pivots off a QR factor of the law's
+:func:`square_root`, which does not square the gains; all routes word a lost
+pivot alike.  ``model.make_joint`` validates covariances from elsewhere.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -167,16 +167,21 @@ def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
 # R^H R = their covariance, so |R_ii|^2 is row i's variance given the rows
 # before it, with an error of eps times the gains, not their squares.
 
-def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None) -> np.ndarray:
-    """[[I, 0], [H, L]], rows X1..XK, Y1..YK, with L L^H = noise.sigma (I by default);
-    a coupling of another size raises IndexOutOfRange, a singular one SingularCovariance."""
-    K = ch.K
+def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
+                users: Optional[Sequence[int]] = None) -> np.ndarray:
+    """[[I, 0], [H, L]], rows X1..XK, Y1..YK, with L L^H = noise.sigma (I by default),
+    or given 1-based ``users`` the root of their law given every other input
+    (H and Sigma cut to those users, in that order); a coupling of another
+    size raises IndexOutOfRange, a singular one SingularCovariance."""
     _check_size(ch, noise)
+    idx = np.arange(ch.K) if users is None else np.array(users) - 1
+    H = ch.entries.take(idx, 0).take(idx, 1)  # the entries np.ix_ selects, at less cost
+    K = H.shape[0]
     root = np.eye(2 * K, dtype=complex)
-    root[K:, :K] = ch.entries
+    root[K:, :K] = H
     if noise is not None:
         try:
-            root[K:, K:] = np.linalg.cholesky(noise.sigma)
+            root[K:, K:] = np.linalg.cholesky(noise.sigma.take(idx, 0).take(idx, 1))
         except np.linalg.LinAlgError:
             raise SingularCovariance("the noise coupling is not positive definite") from None
     return root

@@ -33,7 +33,10 @@ that order through the reference route (``kra_term_value`` /
 reduction used throughout: conditioning on the inputs outside S makes a term
 depend only on the |S| x |S| subchannel H[pi, pi] and the matching block of
 the noise correlation, so every search runs in the reduced space and the
-witness is embedded back at the end.
+witness is embedded back at the end.  Every correlated-noise route lives here
+and reads the square root of that reduced law (``gaussian_info.square_root``):
+the reference route one QR factor of its rows, and ``certify``'s re-check
+(``_bound_at_coupling``) one of each telescoped block.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ from .gaussian_info import (
     GenieSpec,
     build_joint,
     conditional_entropy,
-    conditional_mi,
+    refuse_lost_pivots,
+    square_root,
 )
 from .model import (
     BoundReport,
@@ -227,26 +231,54 @@ def _lean_kra_value(sigma: np.ndarray, grams: _TermBlocks) -> float:
     return float(grams.signs @ logdet) / _LN2
 
 
+def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
+    """Term t at ``noise`` by the telescoped form the solver ranks by, each
+    block Sigma_n + T T^H of the reduced law read off a QR factor of its root
+    [L_n | T], L L^H = Sigma[pi, pi], padded to |S| rows with unit rows so one
+    batched QR serves every block: certify's re-check of kra_term_value.  It
+    errs as eps times the gains, not their squares; a singular coupling raises
+    SingularCovariance, as square_root does."""
+    s = t.size
+    root = square_root(ch, noise, t.perm)
+    tails = _term_tails(root[s:, :s])
+    roots = np.zeros((len(tails), s, 2 * s), dtype=complex)
+    for b, (n, tail) in enumerate(tails):
+        roots[b, :n, :n] = root[s:s + n, s:s + n]
+        roots[b, n:, n:s] = np.eye(s - n)
+        roots[b, :n, s:s + tail.shape[1]] = tail
+    R = np.linalg.qr(roots.conj().transpose(0, 2, 1), mode="r")
+    log2dets = 2.0 * np.sum(np.log2(np.abs(np.diagonal(R, axis1=1, axis2=2))), axis=1)
+    return float(np.repeat([1.0, -1.0], s) @ log2dets)
+
+
 def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
     """Correlated-noise bound term at a fixed noise correlation (bits).
 
-    Reference path: assembles the joint law and sums the defining conditional
-    mutual informations; the optimizer uses the telescoped log-det form and is
-    checked against this one.
-    """
+    Reference path: the chain of output entropies of the reduced law
+    (H[pi, pi], Sigma[pi, pi]), read off its square_root.  With pi as the
+    natural order, and Y_k = Z_k given every input, summand k is
+    I(Y_k; X_k..X_s | X_<k, Y_<k) = h(Y_k | X_<k, Y_<k) - h(Z_k | Z_<k).
+    One QR of the root's rows (Y_1, X_1, ..., X_{s-1}, Y_s) holds each
+    Var(Y_k | X_<k, Y_<k) as Y_k's squared pivot, and Var(Z_k | Z_<k) is
+    L_kk^2, so summand k is log2 |R_kk|^2 - 2 log2 L_kk: the pi e factors
+    cancel and no gain is squared.  A squared output pivot at or below EIG_TOL
+    times its variance raises SingularCovariance; a summand below zero is
+    round-off, counted as zero above -1e-9 and InternalConsistencyError below."""
     if max(t.subset) > ch.K:
         raise ValidationError(f"term {t} references users beyond K={ch.K}")
-    j = build_joint(ch, noise)  # refuses a coupling of another size
-    outside = [f"X{i}" for i in range(1, ch.K + 1) if i not in t.subset]
-    total = 0.0
-    perm = t.perm
-    s = len(perm)
-    for k in range(s):
-        a = [f"Y{perm[k]}"]
-        b = [f"X{perm[i]}" for i in range(k, s)]
-        c = ([f"X{perm[i]}" for i in range(k)]
-             + [f"Y{perm[i]}" for i in range(k)] + outside)
-        total += conditional_mi(j, a, b, c)
+    perm, s = t.perm, t.size
+    root = square_root(ch, noise, perm)  # refuses a coupling of another size
+    rows = root[[i for k in range(s) for i in (s + k, k)][:-1]]
+    pivots = np.abs(np.diagonal(np.linalg.qr(rows.conj().T, mode="r"))[0::2]) ** 2
+    refuse_lost_pivots(pivots, np.sum(np.abs(rows[0::2]) ** 2, axis=1), lambda k: (
+        [f"Y{perm[k]}"], [f"X{u}" for u in perm[:k]] + [f"Y{u}" for u in perm[:k]]
+        + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm]))
+    total = 0.0  # a plain loop: a term has few summands, and it beats three array passes
+    for k, v in enumerate((np.log2(pivots) - 2.0 * np.log2(np.diagonal(root)[s:].real)).tolist()):
+        if v <= -1e-9:
+            raise InternalConsistencyError(f"summand {k + 1} of term {t}, for Y{perm[k]}, is "
+                                           f"{v:.3e} < 0 beyond numerical dust")
+        total += max(v, 0.0)
     return total
 
 

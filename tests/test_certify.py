@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -188,11 +189,30 @@ def test_degenerate_recovered_coupling_skips_the_ladder_routes():
 
 
 # channels whose sum capacity only the numeric route certifies, with the
-# family and ordering of the winning sum-rate inequality
+# family and ordering of the winning sum-rate inequality.  On the first the
+# two families tie, and region keeps the first family it tried
 NUMERIC_CASES = [
-    ([[1.0, 0.0], [0.5, 1.0]], "ETW", (2, 1)),
+    ([[1.0, 0.0], [0.5, 1.0]], "KRA", (2, 1)),
     ([[2.0, 0.0, 0.0], [0.3, 1.5, 0.0], [0.2, 0.4, 1.0]], "KRA", (3, 2, 1)),
 ]
+
+# the same channels with certify's region run on one family alone, so that
+# each family's winner, and so its re-check, is reached
+NUMERIC_RECHECKS = [
+    (NUMERIC_CASES[0][0], "ETW", (2, 1)),
+    NUMERIC_CASES[1],
+    NUMERIC_CASES[0],
+]
+
+
+def _certify_on_one_family(monkeypatch, H, family, perm):
+    """The channel, with certify's region patched to ``family`` alone, after
+    checking that its sum-rate winner is (family, perm)."""
+    ch = ifc.validate_channel(np.array(H))
+    monkeypatch.setattr(certify, "region", partial(certify.region, families=family))
+    ineq = certify.region(ch, sum_rate_only=True).inequalities[-1]
+    assert (ineq.family, tuple(ineq.witness["perm"])) == (family, perm)
+    return ch
 
 
 @pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
@@ -205,12 +225,14 @@ def test_numeric_match(H, family, perm):
     assert abs(cert.gap_bits) <= 1e-9
 
 
-@pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
+@pytest.mark.parametrize("H, family, perm", NUMERIC_RECHECKS)
 def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, patch_pair_code,
                                                       H, family, perm):
     # region scores the winner by kra_term_value / etw_term_value; the recheck
-    # must reach the entropy chain (KRA) or the closed-form summands (ETW)
-    owner, name = ((certify, "_term_by_entropies") if family == "KRA"
+    # must reach the telescoped form (KRA) or the closed-form summands (ETW)
+    ch = _certify_on_one_family(monkeypatch, H, family, perm)
+    assert ifc.certify_sum_capacity(ch).path == PATH_NUMERIC
+    owner, name = ((certify, "_bound_at_coupling") if family == "KRA"
                    else (outer_bound, "_etw_summand"))
     route = getattr(owner, name)
 
@@ -221,14 +243,14 @@ def test_numeric_match_upper_recheck_is_a_second_route(monkeypatch, patch_pair_c
     else:
         monkeypatch.setattr(owner, name, doctored)
     with pytest.raises(ifc.InternalConsistencyError, match="re-verification"):
-        ifc.certify_sum_capacity(ifc.validate_channel(np.array(H)))
+        ifc.certify_sum_capacity(ch)
 
 
-@pytest.mark.parametrize("H, family, perm", NUMERIC_CASES)
+@pytest.mark.parametrize("H, family, perm", NUMERIC_RECHECKS)
 def test_numeric_match_lower_recheck_is_the_square_root_ladder(monkeypatch, H, family, perm):
-    # both cases certify against TIN, re-checked with no earlier input known
-    ch = ifc.validate_channel(np.array(H))
-    assert max(ifc.region(ch, sum_rate_only=True).lower_bounds.items(),
+    # every case certifies against TIN, re-checked with no earlier input known
+    ch = _certify_on_one_family(monkeypatch, H, family, perm)
+    assert max(certify.region(ch, sum_rate_only=True).lower_bounds.items(),
                key=lambda kv: kv[1])[0] == "TIN"
     route = certify._ladder_by_information
     calls = []
@@ -246,9 +268,9 @@ def test_numeric_match_lower_recheck_is_the_square_root_ladder(monkeypatch, H, f
 LADDER_RECHECKS = [
     ([[1.0, 1.0], [1.0, 1.0]], PATH_DEGRADED, "degraded_chain_sum_rate"),
     ([[1.0, 1.0], [1.0, 1.0]], PATH_DEGRADED, "_ladder_by_information"),
-    ([[1.0, 0.4], [0.0, 1.0]], PATH_Z, "_term_by_entropies"),
+    ([[1.0, 0.4], [0.0, 1.0]], PATH_Z, "kra_term_value"),
     ([[1.0, 0.4], [0.0, 1.0]], PATH_Z, "_ladder_by_information"),
-    ([[1.0, 0.5], [2.5, 2.0]], PATH_MAC, "_term_by_entropies"),
+    ([[1.0, 0.5], [2.5, 2.0]], PATH_MAC, "kra_term_value"),
     ([[1.0, 0.5], [2.5, 2.0]], PATH_MAC, "_ladder_by_information"),
 ]
 
@@ -295,8 +317,9 @@ def _heard_z_channel(rng, K, loud=30.0):
 
 
 #: linear-algebra calls a recovery-route certificate makes, whatever K: the
-#: unit-rank test, the recovery's PSD test, the telescoped bound, the root of
-#: the coupling and one QR each for the entropy chain and the ladder
+#: unit-rank test, the recovery's PSD test, and a root of the coupling and a
+#: QR each for the telescoped bound and kra_term_value's entropy chain, plus
+#: one QR for the ladder
 RECOVERY_ROUTE_LINALG = {"svd": 1, "eigvalsh": 1, "cholesky": 2, "qr": 3}
 
 
@@ -315,7 +338,7 @@ def test_recovery_route_factorizations_do_not_grow_with_the_users(monkeypatch, K
               for name in ("cholesky", "qr", "slogdet", "inv", "solve", "eigh", "eigvalsh", "svd")}
     assert ifc.certify_sum_capacity(ch).path == path
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "kra_term_value": 0, "conditional_entropy": 0, "conditional_mi": 0, "build_joint": 0}
+        "kra_term_value": 1, "conditional_entropy": 0, "conditional_mi": 0, "build_joint": 0}
     assert {name: len(calls) for name, calls in linalg.items() if calls} == RECOVERY_ROUTE_LINALG
 
 
@@ -352,7 +375,7 @@ def test_square_root_entropy_chain_matches_the_per_query_chain(kind):
                       [tuple(int(u) for u in rng.permutation(K) + 1) for _ in range(6)])
             for order in orders:
                 want = _entropy_chain_by_queries(ch, noise, order)
-                got = certify._term_by_entropies(ch, noise, order)
+                got = ifc.kra_term_value(ch, noise, ifc.BoundTerm(tuple(range(1, K + 1)), order))
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (kind, K, order)
 
 
@@ -360,15 +383,25 @@ def test_entropy_chain_refuses_only_the_output_pivots():
     # a coupling 1e-13 from singular all but fixes Y2 given (X1, Y1)
     ch = ifc.validate_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
     tight = ifc.validate_noise_correlation(np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]]))
-    for route in (certify._term_by_entropies, _entropy_chain_by_queries):
-        with pytest.raises(SingularCovariance, match=r"\['Y2'\] given .* within EIG_TOL"):
-            route(ch, tight, (1, 2))
+    with pytest.raises(SingularCovariance, match=r"\['Y2'\] given .* within EIG_TOL"):
+        _entropy_chain_by_queries(ch, tight, (1, 2))
+    with pytest.raises(SingularCovariance,
+                       match=r"\['Y2'\] given \['X1', 'Y1'\] has .* within EIG_TOL"):
+        ifc.kra_term_value(ch, tight, ifc.BoundTerm((1, 2), (1, 2)))
+    # on a subset the query also names the inputs outside it, conditioned on
+    wide = ifc.validate_channel(np.array([[1.0, 1.0, 0.3], [0.0, 1.0, 0.2], [0.1, 0.0, 1.0]]))
+    sigma = np.eye(3, dtype=complex)
+    sigma[:2, :2] = tight.sigma
+    with pytest.raises(SingularCovariance, match=r"\['Y2'\] given \['X1', 'Y1', 'X3'\] has"):
+        ifc.kra_term_value(wide, ifc.validate_noise_correlation(sigma),
+                           ifc.BoundTerm((1, 2), (1, 2)))
     # a large direct gain leaves X1 given Y1 a variance within EIG_TOL of its
     # own; X1 is only conditioned on, so the chain scores, and exactly
     ch = ifc.validate_channel(np.array([[3e6, 0.5], [0.0, 1.3]]))
     noise = ifc.validate_noise_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
-    want = referee_kra_term(ch, noise, ifc.BoundTerm((1, 2), (1, 2)))
-    assert abs(certify._term_by_entropies(ch, noise, (1, 2)) - want) <= 1e-12 * want
+    t = ifc.BoundTerm((1, 2), (1, 2))
+    want = referee_kra_term(ch, noise, t)
+    assert abs(ifc.kra_term_value(ch, noise, t) - want) <= 1e-12 * want
 
 
 def _reproducer(shape, g):
@@ -391,10 +424,11 @@ def test_large_gain_recovery_certificates_survive_their_rechecks(shape, path, to
         cert = ifc.certify_sum_capacity(ch)
         assert (cert.status, cert.path) == (CERTIFIED, path), g
         users = tuple(range(1, ch.K + 1))
+        full = ifc.BoundTerm(users, users)
         rec = ifc.recover_noise_correlation(ch)
-        want = referee_kra_term(ch, rec, ifc.BoundTerm(users, users))
-        assert abs(certify._bound_at_coupling(ch, rec) - want) <= 1e-12 * want, g
-        assert abs(certify._term_by_entropies(ch, rec, users) - want) <= 1e-12 * want, g
+        want = referee_kra_term(ch, rec, full)
+        assert abs(outer_bound._bound_at_coupling(ch, rec, full) - want) <= 1e-12 * want, g
+        assert abs(ifc.kra_term_value(ch, rec, full) - want) <= 1e-12 * want, g
         assert abs(certify._ladder_by_information(ch) - ifc.tin_sum_rate(ch)) <= 1e-12 * want, g
 
 
@@ -404,20 +438,29 @@ def test_bound_at_the_recovered_coupling_is_read_off_square_roots():
     # bits, while their square roots stay within 1e-12 of the 50-digit value
     ch = ifc.validate_channel(np.array([[4.0, 1800.0], [0.0, 2000.0]]))
     rec = ifc.recover_noise_correlation(ch)
-    want = referee_kra_term(ch, rec, ifc.BoundTerm((1, 2), (1, 2)))
-    assert abs(certify._bound_at_coupling(ch, rec) - want) <= 1e-12 * want
-    assert abs(certify._bound_at_coupling(ch, rec) - ifc.tin_sum_rate(ch)) <= 1e-11
-    # on moderate gains both forms agree with the referee and each other
+    full = ifc.BoundTerm((1, 2), (1, 2))
+    want = referee_kra_term(ch, rec, full)
+    assert abs(outer_bound._bound_at_coupling(ch, rec, full) - want) <= 1e-12 * want
+    assert abs(outer_bound._bound_at_coupling(ch, rec, full) - ifc.tin_sum_rate(ch)) <= 1e-11
+    # on moderate gains both forms agree with the referee and each other, in
+    # the natural order and in a random order of a random subset
     rng = np.random.default_rng(60)
     for _ in range(40):
         K = int(rng.integers(2, 6))
         ch, sig = random_z_channel(rng, K)
         users = tuple(range(1, K + 1))
-        want = referee_kra_term(ch, sig, ifc.BoundTerm(users, users))
-        got = certify._bound_at_coupling(ch, sig)
-        lean = outer_bound._lean_kra_value(sig.sigma, outer_bound._term_grams(ch.entries))
-        assert abs(got - want) <= 1e-13 * max(1.0, want), K
-        assert abs(got - lean) <= 1e-12 * max(1.0, want), K
+        subset = tuple(sorted(int(u) for u in rng.choice(users, int(rng.integers(1, K + 1)),
+                                                         replace=False)))
+        for t in (ifc.BoundTerm(users, users),
+                  ifc.BoundTerm(subset, tuple(int(u) for u in rng.permutation(subset)))):
+            want = referee_kra_term(ch, sig, t)
+            got = outer_bound._bound_at_coupling(ch, sig, t)
+            idx = [p - 1 for p in t.perm]
+            lean = outer_bound._lean_kra_value(sig.sigma[np.ix_(idx, idx)],
+                                               outer_bound._term_grams(
+                                                   outer_bound._reduced_channel(ch, t)))
+            assert abs(got - want) <= 1e-13 * max(1.0, want), t
+            assert abs(got - lean) <= 1e-12 * max(1.0, want), t
 
 
 def test_square_root_ladder_refuses_as_the_covariance_route_did():

@@ -477,9 +477,13 @@ def test_gain_sweep_certify_on_a_large_z_channel(gain_sweep):
 def test_large_gain_z_construction_certifies(capsys, tmp_path):
     # build_z_channel at rho = 0.9 and gains [4, 2000]: the telescoped bound at
     # the recovered coupling meets the ladder when read off square roots
-    # (evaluate --sum-rate-only still exits 4 here, ROADMAP item 4)
-    code, out, _ = run(capsys, ["certify", spec_file(tmp_path, "z.json", [[4, 1800], [0, 2000]])])
+    path = spec_file(tmp_path, "z.json", [[4, 1800], [0, 2000]])
+    code, out, _ = run(capsys, ["certify", path])
     assert (code, json.loads(out)["path"]) == (0, "Z_THEOREM2")
+    # and so does the KRA sum-rate bound, whose reference value is read off the
+    # same square root; a covariance route fell 1.6e-9 bits below TIN (exit 4)
+    code, out, _ = run(capsys, ["evaluate", "--families", "kra", "--sum-rate-only", path])
+    assert (code, json.loads(out)["consistent"]) == (0, True)
 
 
 def test_one_process_serves_each_channel_its_own_pair_table(capsys, tmp_path):

@@ -246,6 +246,22 @@ def test_floored_end_point_is_accepted_near_the_boundary():
     assert abs(val - referee_kra_term(ch, noise, t)) < CERT_TOL
 
 
+@pytest.mark.parametrize("dust", [5e-10, 2e-9])
+def test_kra_summand_below_zero_is_dust_or_an_error(monkeypatch, dust):
+    # conditional_mi's sign policy, per summand.  The singleton term of [[1]]
+    # is log2 2 = 1 bit; a QR doctored by 2^(-(1 + dust) / 2) reads it as -dust
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, mode: qr(a, mode=mode) * 2.0 ** (-(1.0 + dust) / 2.0))
+    ch, t = ifc.validate_channel([[1.0]]), ifc.BoundTerm((1,), (1,))
+    if dust < 1e-9:
+        assert ifc.kra_term_value(ch, ifc.identity_noise(1), t) == 0.0
+    else:
+        with pytest.raises(InternalConsistencyError,
+                           match=r"summand 1 of .*, for Y1, is -2.000e-09 < 0 beyond"):
+            ifc.kra_term_value(ch, ifc.identity_noise(1), t)
+
+
 def _strongly_coupled_z(s):
     """K=3 Z channel with lower entries |h| ~ U(15, 20) at random phases; the
     upper triangle, and so the recovered coupling and the ladder, are kept."""

@@ -55,3 +55,12 @@ def test_genie_region_is_symmetric(seed, K, scale, symmetry):
 def test_region_is_symmetric(seed, K, scale, symmetry):
     # the KRA solver's end points spread by up to ~6e-8 bits (ROADMAP item 9)
     _assert_symmetric(seed, K, scale, symmetry, "kra,etw", 1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 4), st.sampled_from([0.5, 1.0, 3.0, 8.0]))
+def test_correlated_noise_region_is_relabelling_invariant_bit_for_bit(seed, K, scale):
+    # every step of a KRA term, its solve and its reference value, reads only
+    # the reduced law (H[pi, pi], Sigma[pi, pi]), which relabelling leaves
+    # entry for entry the same
+    _assert_symmetric(seed, K, scale, "relabel", "kra", 0.0)
