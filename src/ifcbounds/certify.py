@@ -14,9 +14,9 @@ successive-decoding ladder.
    ones by construction (so this is not checked separately); the ladder
    rates survive every per-receiver joint decoding of the earlier users that
    receiver hears, so they are achievable; and the bound is the
-   correlated-noise bound at the recovered coupling, scored by
-   ``outer_bound._bound_at_coupling``: the telescoped log-det form with each
-   block read off one batched QR of its square root.  A coupling that is not
+   correlated-noise bound at the recovered coupling, scored by the reference
+   route ``outer_bound.kra_term_value``: the chain of output entropies read
+   off one QR of its square root.  A coupling that is not
    positive definite, as on the cone boundary, makes the route step aside as
    degenerate.  The route's linear algebra does not grow with K: one SVD (the
    unit-rank test), one eigen-solve (the recovered coupling's PSD test), two
@@ -28,11 +28,12 @@ successive-decoding ladder.
    agree within tolerance.
 
 Every issued certificate is re-verified through independent recomputations of
-both sides before it is returned: a correlated-noise bound by the other of
-``outer_bound``'s two square-root routes (``kra_term_value`` for the recovery
-route, ``_bound_at_coupling`` for NUMERIC_MATCH), and the ladder and the
-interference-as-noise sum off QR pivots of ``gaussian_info.square_root``, so
-every re-check errs as eps times the gains, not their squares.
+both sides before it is returned: a correlated-noise bound, which both routes
+report from ``kra_term_value``, by ``outer_bound._bound_at_coupling`` (the
+telescoped form, one batched QR), a genie bound by its closed-form summands,
+and the ladder and the interference-as-noise sum off QR pivots of
+``gaussian_info.square_root``, so every re-check errs as eps times the gains,
+not their squares.
 ``degradedness_witness`` is re-exported from ``construct``, whose
 ``build_z_channel`` runs it; no route calls it.
 """
@@ -195,8 +196,8 @@ def certify_sum_capacity(ch: ChannelMatrix) -> Certificate:
             full = BoundTerm(users, users)
             cert = _ladder_certificate(
                 ch, "bound at the recovered coupling",
-                lambda: _bound_at_coupling(ch, recovered, full),
-                lambda: kra_term_value(ch, recovered, full), path, details)
+                lambda: kra_term_value(ch, recovered, full),
+                lambda: _bound_at_coupling(ch, recovered, full), path, details)
             if cert is not None:
                 return cert
 

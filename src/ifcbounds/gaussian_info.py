@@ -1,14 +1,14 @@
 """Entropies and mutual informations of circularly-symmetric Gaussian vectors.
 
-Everything here reduces to log-determinants of conditional covariances.  The
-genie terms, ``verify`` and the public queries read each off the Cholesky
-factor of one joint covariance block; a law resolves its labels once, and each
-query reads its factor's pivots once.  :func:`build_joint` writes the joint
-vector as one invertible linear map of inputs and noises, so only its noise
-law is left to check.  The correlated-noise terms, ``construct`` and
-``certify`` read the same pivots off a QR factor of the law's
-:func:`square_root`, which does not square the gains; all routes word a lost
-pivot alike.  ``model.make_joint`` validates covariances from elsewhere.
+Everything here reduces to log-determinants of conditional covariances, each
+read off the squared pivots of a QR factor of some rows of a square root of
+the law (:func:`squared_pivots`), which does not square the gains.  A
+``JointGaussian`` holds its root: :func:`build_joint` writes it as one linear
+map of inputs and noises, so only its noise law is left to factor, and
+``model.make_joint`` factors covariances from elsewhere.  A law resolves its
+labels once.  The correlated-noise terms, ``construct`` and ``certify`` read
+the same pivots off :func:`square_root`, whose noise factor is triangular;
+all routes word a lost pivot alike (:func:`refuse_lost_pivots`).
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -16,6 +16,7 @@ circularly-symmetric vector with covariance S has h = log2 det(pi e S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -25,15 +26,15 @@ from .errors import (
     IndexOutOfRange,
     InternalConsistencyError,
     LabelOverlap,
-    NotPSD,
     RhoTooLarge,
     SingularCovariance,
 )
-from .model import PSD_EIG_TOL, ChannelMatrix, JointGaussian, NoiseCorrelation
+from .model import ChannelMatrix, JointGaussian, NoiseCorrelation, psd_factor
 
 LOG2PIE = float(np.log2(np.pi * np.e))
+_EPS = float(np.finfo(float).eps)
 
-#: relative singularity cutoff: a conditional variance (Cholesky pivot) at or
+#: relative singularity cutoff: a conditional variance (squared QR pivot) at or
 #: below EIG_TOL times its unconditional variance is lost to round-off
 EIG_TOL = 1e-12
 
@@ -71,16 +72,10 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
     Labels are "X1".."XK", "Y1".."YK", then "G<m>" in genie order.  Inputs are
     iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma, or I by default.
     (X, Y, G) is [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the
-    targets' channel rows less their direct gains, so it is PSD exactly when
-    N = Cov(Z, Z~) = [[Sigma, C], [C^H, I]] is (C[k-1, a] = rho_a, k paired).
-
-    N is eigen-checked only when genies meet a noise coupling or share a
-    receiver.  Without genies N is Sigma: the identity, or a coupling
-    validated when it was built.  Without a coupling and with each genie on
-    its own receiver, N is a direct sum of ones and blocks
-    [[1, rho], [conj(rho), 1]], whose smallest eigenvalue 1 - max|rho| is at
-    least 1 - RHO_CAP > 0, so the check cannot fail; every ETW term's law is
-    of this kind.
+    targets' channel rows less their direct gains, and N = Cov(Z, Z~) =
+    [[Sigma, C], [C^H, I]] (C[k-1, a] = rho_a, k paired), so the law's root is
+    [[I, 0], [B, L_N]] with L_N the psd_factor of N, which refuses an N that
+    is not PSD as NotPSD.
     """
     K = ch.K
     _check_size(ch, noise)
@@ -94,78 +89,32 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
         seen_targets.add(g.target)
 
     n_g = len(genies)
-    B = np.empty((K + n_g, K), dtype=complex)
-    B[:K] = ch.entries
+    root = np.eye(2 * K + n_g, dtype=complex)
+    root[K:2 * K, :K] = ch.entries
     N = np.eye(K + n_g, dtype=complex)
     if noise is not None:
         N[:K, :K] = noise.sigma
     for a, g in enumerate(genies):
-        B[K + a] = ch.entries[g.target - 1]
-        B[K + a, g.target - 1] = 0.0
+        root[2 * K + a, :K] = ch.entries[g.target - 1]
+        root[2 * K + a, g.target - 1] = 0.0
         N[g.paired_with - 1, K + a] = g.rho
         N[K + a, g.paired_with - 1] = np.conj(g.rho)
-    if n_g and (noise is not None or len({g.paired_with for g in genies}) < n_g):
-        w = np.linalg.eigvalsh(N)
-        if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
-            raise NotPSD(f"noise law of Sigma and the genie correlations has "
-                         f"eigenvalue {w[0]:.3e}: no such joint law exists")
-
-    cov = np.empty((2 * K + n_g, 2 * K + n_g), dtype=complex)
-    cov[:K, :K] = np.eye(K)
-    cov[K:, :K] = B
-    cov[:K, K:] = B.conj().T
-    P = B @ B.conj().T
-    cov[K:, K:] = (P + P.conj().T) / 2.0 + N
-    cov.setflags(write=False)
+    root[K:, K:] = psd_factor(N, "noise law of Sigma and the genie correlations")
+    root.setflags(write=False)
     labels = ([f"X{i}" for i in range(1, K + 1)]
               + [f"Y{i}" for i in range(1, K + 1)]
               + [f"G{g.target}" for g in genies])
-    return JointGaussian(tuple(labels), cov)
+    return JointGaussian(tuple(labels), root=root)
 
 
-# ---------------------------------------------------------------------------
-# conditioning through one Cholesky factor
-#
-# Factor the joint block ordered (C, A) as L L^H.  Its trailing |A| x |A|
-# corner factors Cov(A | C), so no conditioning block is ever inverted.
+def squared_pivots(rows: np.ndarray) -> np.ndarray:
+    """|R_ii|^2 of a QR factor R of the rows' conjugate transpose, for rows of a
+    root M of a law (v = M w, w white): R^H R is their covariance, so |R_ii|^2
+    is row i's variance given the rows before it, with an error of eps times
+    the gains, not their squares, and no conditioning block is inverted.  The
+    raw Householder output holds R's diagonal, so no triangle is copied out."""
+    return np.abs(np.diagonal(np.linalg.qr(rows.conj().T, mode="raw")[0])) ** 2
 
-def _lost_pivot(a: Sequence[str], c: Sequence[str], ratio: float) -> SingularCovariance:
-    return SingularCovariance(
-        f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
-        f"its variance ({ratio:.3e} of it), lost to round-off")
-
-
-def _cholesky(j: JointGaussian, a: Sequence[str],
-              c: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of the joint block ordered (C, A) and its trailing
-    |A| pivots |diag(L)[|C|:]|, read once for both the refusal and the
-    log-det; a failed factor or a squared pivot at or below EIG_TOL times its
-    variance raises SingularCovariance.  The block is selected by plain
-    indexing, rows then columns: the same entries as np.ix_, at less cost."""
-    idx = j.indices(list(c) + list(a))
-    block = j.cov[idx][:, idx]
-    try:
-        L = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        raise SingularCovariance(
-            f"joint cov of {list(c)} and {list(a)} is not positive definite") from None
-    pivots = np.diagonal(L)[len(c):].real  # a Cholesky diagonal is real and positive
-    squares, var = pivots ** 2, np.diagonal(block)[len(c):].real
-    if np.any(squares <= EIG_TOL * var):
-        raise _lost_pivot(a, c, np.min(squares / var))
-    return L, pivots
-
-
-def _cond_logdet(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
-    """log2 det Cov(A | C): twice the summed log2 of the (C, A) factor's trailing pivots."""
-    return 2.0 * float(np.sum(np.log2(_cholesky(j, a, c)[1])))
-
-
-# ---------------------------------------------------------------------------
-# conditioning through a square root: (X, Y) = [[I, 0], [H, L]] (X, W), W white,
-# L L^H = Sigma.  A QR factor R of some of its rows (conjugated, as columns) has
-# R^H R = their covariance, so |R_ii|^2 is row i's variance given the rows
-# before it, with an error of eps times the gains, not their squares.
 
 def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
                 users: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -191,7 +140,10 @@ def refuse_lost_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) ->
     """SingularCovariance at the first squared pivot at or below EIG_TOL times its
     variance; ``query(i)`` names pivot i's (target, given) labels."""
     for i in np.flatnonzero(squares <= EIG_TOL * var)[:1]:
-        raise _lost_pivot(*query(int(i)), squares[i] / var[i])
+        a, c = query(int(i))
+        raise SingularCovariance(
+            f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
+            f"its variance ({squares[i] / var[i]:.3e} of it), lost to round-off")
 
 
 def _check_disjoint(a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> None:
@@ -206,13 +158,29 @@ def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
     return conditional_entropy(j, a, [])
 
 
+def pivot_log2det(rows: np.ndarray, a: list, c: list) -> float:
+    """log2 det Cov(A | C) for the rows (C, A) of a root, labelled c then a:
+    the summed log2 of A's squared pivots.  One of A's at or below EIG_TOL
+    times its variance (its row's squared norm) raises SingularCovariance, and
+    so does one of C's at or below eps times it: C is then singular to working
+    precision, and the QR would condition on a direction round-off chose."""
+    squares = squared_pivots(rows)
+    var = np.sum(rows.real ** 2 + rows.imag ** 2, axis=1)
+    n, pairs = len(c), list(zip(squares.tolist(), var.tolist()))  # few pivots: plain floats
+    if any(s <= _EPS * v for s, v in pairs[:n]):
+        raise SingularCovariance(f"cov of {c} is singular to working precision")
+    if any(s <= EIG_TOL * v for s, v in pairs[n:]):
+        refuse_lost_pivots(squares[n:], var[n:], lambda i: (a, c))
+    return sum(math.log2(s) for s, _ in pairs[n:])
+
+
 def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:
-    """h(A | C) in bits from the factor of the (C, A) block."""
+    """h(A | C) in bits from the squared QR pivots of the root's rows (C, A)."""
     a, c = list(a), list(c)
     _check_disjoint(a, [], c)
     if not a:
         raise LabelOverlap("entropy of an empty label set")
-    return len(a) * LOG2PIE + _cond_logdet(j, a, c)
+    return len(a) * LOG2PIE + pivot_log2det(j.root[j.indices(c + a)], a, c)
 
 
 def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
@@ -220,15 +188,18 @@ def conditional_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     """I(A; B | C) in bits.
 
     Computed as log2 det Sigma_{A|C} - log2 det Sigma_{A|B,C}, each read off
-    one Cholesky factor (of the (C, A) and (B, C, A) blocks).  Small negative
-    values are floating-point dust on a provably nonnegative quantity and are
-    clamped to zero; anything below -1e-9 indicates a bug upstream and raises.
+    one QR of the root's rows ((C, A) and (B, C, A)).  A pivot errs by about
+    eps times its row's norm, so each log-det errs by about eps times the
+    gains over the pivots it reads: small negative values are floating-point
+    dust on a provably nonnegative quantity and are clamped to zero; anything
+    below -1e-9 indicates a bug upstream and raises.
     """
     a, b, c = list(a), list(b), list(c)
     if not a or not b:
         raise LabelOverlap("A and B must be nonempty")
     _check_disjoint(a, b, c)
-    mi = _cond_logdet(j, a, c) - _cond_logdet(j, a, b + c)
+    mi = (pivot_log2det(j.root[j.indices(c + a)], a, c)
+          - pivot_log2det(j.root[j.indices(b + c + a)], a, b + c))
     if mi < 0.0:
         if mi > -1e-9:
             return 0.0

@@ -145,16 +145,30 @@ def identity_noise(K: int) -> NoiseCorrelation:
 # ---------------------------------------------------------------------------
 # joint Gaussian vectors
 
+def psd_factor(mat: np.ndarray, name: str) -> np.ndarray:
+    """A square root F of the Hermitian matrix mat, F F^H = mat: its Cholesky
+    factor, or when that fails V diag(sqrt(max(w, 0))) from its eigen-solve,
+    which raises NotPSD at an eigenvalue below -PSD_EIG_TOL max(1, w_max)."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(mat)
+    if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
+        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}: no such joint law exists")
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 @dataclass(frozen=True, eq=False)
 class JointGaussian:
-    """A zero-mean circularly-symmetric complex Gaussian vector.
+    """A zero-mean circularly-symmetric complex Gaussian vector v = root w, w white.
 
-    ``labels`` names the coordinates ("X1", "Y2", "G3", ...) and ``cov`` is the
-    Hermitian PSD matrix ``E[v v^H]`` in label order.
+    ``labels`` names the coordinates ("X1", "Y2", "G3", ...), and row i of
+    ``root`` is coordinate i's map from w, so E[v v^H] = root root^H.  The
+    root is keyword-only: a covariance goes through :func:`make_joint`.
     """
 
     labels: tuple
-    cov: np.ndarray = field(repr=False)
+    root: np.ndarray = field(repr=False, kw_only=True)
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -167,6 +181,11 @@ class JointGaussian:
     def dim(self) -> int:
         return len(self.labels)
 
+    @property
+    def cov(self) -> np.ndarray:
+        """E[v v^H] in label order, formed from the root on each request."""
+        return self.root @ self.root.conj().T
+
     def indices(self, names: Iterable[str]) -> list:
         try:
             return [self._index[name] for name in names]
@@ -178,7 +197,8 @@ class JointGaussian:
 
 
 def make_joint(labels: Sequence[str], cov: np.ndarray) -> JointGaussian:
-    """Validate and freeze a joint Gaussian (Hermitian, eigenvalues >= -1e-10)."""
+    """Validate a covariance (Hermitian, eigenvalues >= -1e-10 max(1, w_max))
+    and freeze the joint Gaussian of its :func:`psd_factor`."""
     arr = np.array(cov, dtype=complex)
     n = len(labels)
     if arr.shape != (n, n):
@@ -187,12 +207,9 @@ def make_joint(labels: Sequence[str], cov: np.ndarray) -> JointGaussian:
         raise NonFinite("covariance contains non-finite entries")
     if np.max(np.abs(arr - arr.conj().T)) > 1e-9 * max(1.0, float(np.max(np.abs(arr)))):
         raise NotHermitian("covariance is not Hermitian")
-    arr = (arr + arr.conj().T) / 2.0
-    w = np.linalg.eigvalsh(arr)
-    if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
-        raise NotPSD(f"covariance eigenvalue {w[0]:.3e} is negative")
-    arr.setflags(write=False)
-    return JointGaussian(tuple(labels), arr)
+    root = psd_factor((arr + arr.conj().T) / 2.0, "covariance")
+    root.setflags(write=False)
+    return JointGaussian(tuple(labels), root=root)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent validation paths for the bound engine.
 
 Nothing here sits on the main computation path.  The Monte-Carlo estimator
-checks the covariance assembly and the Cholesky route by sampling; the
-four-entropy identity recomputes conditional information from eigenvalue sums
-of four joint blocks, independent of that route; the exhaustive grid checks
+checks a law's root and the QR route by sampling R^H w, w white, R a QR
+factor of the queried rows of the root, under eigen-solved conditional
+densities; the four-entropy identity recomputes conditional information from
+eigenvalue sums of four blocks of M M^H, independent of that route; the exhaustive grid checks
 the local optimizer on terms of at most three users, on a channel of any
 size, through one explicit 1x1/2x2/3x3 determinant evaluator shared by its
 scan and its refinement.
@@ -35,12 +36,12 @@ MIN_SAMPLES = 10_000
 
 
 def _entropy_eig(j: JointGaussian, labels: Sequence[str]) -> float:
-    """Differential entropy via the eigenvalue sum (no Cholesky, no slogdet)."""
+    """Differential entropy via the eigenvalue sum (no QR, no slogdet)."""
     labels = list(labels)
     if not labels:
         return 0.0
-    idx = j.indices(labels)
-    w = np.linalg.eigvalsh(j.cov[np.ix_(idx, idx)])
+    rows = j.root[j.indices(labels)]
+    w = np.linalg.eigvalsh(rows @ rows.conj().T)
     if w[0] <= 1e-12 * max(1.0, float(w[-1])):
         raise SingularCovariance(f"eigenvalue {w[0]:.3e} too small for entropy of {labels}")
     return len(labels) * LOG2PIE + float(np.sum(np.log2(w)))
@@ -58,18 +59,10 @@ def entropy_identity_mi(j: JointGaussian, a: Sequence[str], b: Sequence[str],
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-
-
 def _conditional_pieces(cov: np.ndarray, ia: List[int], icond: List[int]):
     """(regression matrix, precision of the conditional cov, its log2 det).
 
-    Eigen-based throughout so this path shares nothing with the Cholesky route.
+    Eigen-based throughout so this path shares nothing with the QR route.
     """
     s_a = cov[np.ix_(ia, ia)]
     if icond:
@@ -97,8 +90,8 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     """Sample-mean estimate of I(A;B|C) with its standard error (bits).
 
     Per sample, the exact conditional Gaussian densities give
-    log2 p(A|B,C) - log2 p(A|C); the estimator validates the joint covariance
-    and conditioning chain, not the entropy formula.
+    log2 p(A|B,C) - log2 p(A|C); the estimator validates the law's root and
+    conditioning chain, not the entropy formula.
     """
     a, b, c = list(a), list(b), list(c)
     if not a or not b:
@@ -110,8 +103,13 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
     labels = a + b + c
-    idx = j.indices(labels)
-    cov = j.cov[np.ix_(idx, idx)]
+    rows = j.root[j.indices(labels)]
+    cov = rows @ rows.conj().T
+    # the rows' triangular root, rows rows^H = R^H R, with R's diagonal turned
+    # real and positive: R^H is then cov's Cholesky factor, so a seed draws the
+    # same samples whichever root the law holds
+    R = np.linalg.qr(rows.conj().T, mode="r")
+    R *= np.exp(-1j * np.angle(np.diagonal(R)))[:, None]
     d = len(labels)
     ia = list(range(len(a)))
     ib = list(range(len(a), len(a) + len(b)))
@@ -121,17 +119,16 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     w_bc, p_bc, ld_bc = _conditional_pieces(cov, ia, ib + ic)
 
     from scipy.special import ndtri
-    factor = _psd_factor(cov)
     gen = np.random.Generator(np.random.Philox(seed))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         m = min(CHUNK, n_samples - done)
-        u = gen.random((2, m, d))
+        u = gen.random((2, m, R.shape[0]))
         np.clip(u, 1e-15, 1.0 - 1e-15, out=u)
         z = (ndtri(u[0]) + 1j * ndtri(u[1])) / np.sqrt(2.0)
-        samp = z @ factor.T
+        samp = z @ R.conj()  # each row R^H w for white w
         va = samp[:, ia]
         r_c = va - samp[:, ic] @ w_c.T
         r_bc = va - samp[:, ib + ic] @ w_bc.T

@@ -33,10 +33,9 @@ that order through the reference route (``kra_term_value`` /
 reduction used throughout: conditioning on the inputs outside S makes a term
 depend only on the |S| x |S| subchannel H[pi, pi] and the matching block of
 the noise correlation, so every search runs in the reduced space and the
-witness is embedded back at the end.  Every correlated-noise route lives here
-and reads the square root of that reduced law (``gaussian_info.square_root``):
-the reference route one QR factor of its rows, and ``certify``'s re-check
-(``_bound_at_coupling``) one of each telescoped block.
+witness is embedded back at the end.  Both reference routes read QR pivots of
+a square root: ETW's of the genie law's (``build_joint``), KRA's, and
+``certify``'s KRA re-check (``_bound_at_coupling``), of the reduced law's.
 """
 
 from __future__ import annotations
@@ -62,9 +61,10 @@ from .gaussian_info import (
     RHO_CAP,
     GenieSpec,
     build_joint,
-    conditional_entropy,
+    pivot_log2det,
     refuse_lost_pivots,
     square_root,
+    squared_pivots,
 )
 from .model import (
     BoundReport,
@@ -86,6 +86,7 @@ ENUM_MAX_K = 8
 FULL_REGION_MAX_K = 6
 
 _LN2 = float(np.log(2.0))
+_EPS = float(np.finfo(float).eps)
 
 
 def minimize(*args, **kwargs):
@@ -269,7 +270,7 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
     perm, s = t.perm, t.size
     root = square_root(ch, noise, perm)  # refuses a coupling of another size
     rows = root[[i for k in range(s) for i in (s + k, k)][:-1]]
-    pivots = np.abs(np.diagonal(np.linalg.qr(rows.conj().T, mode="r"))[0::2]) ** 2
+    pivots = squared_pivots(rows)[0::2]
     refuse_lost_pivots(pivots, np.sum(np.abs(rows[0::2]) ** 2, axis=1), lambda k: (
         [f"Y{perm[k]}"], [f"X{u}" for u in perm[:k]] + [f"Y{u}" for u in perm[:k]]
         + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm]))
@@ -282,19 +283,18 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
     return total
 
 
-def _pair_rho(p: float, c: complex) -> complex:
+def _pair_rho(b: float, c: complex) -> complex:
     """Exact minimizer of log2(p - |c + rho|^2) - log2(1 - |rho|^2) over |rho| <= RHO_CAP.
 
     rho takes the phase of c; its magnitude is the smaller root of
-    |c| r^2 - (p - |c|^2 - 1) r + |c| = 0.  Both roots are real, with product
-    1, whenever p >= (1 + |c|)^2, which every caller guarantees; at equality
-    the objective falls all the way to |rho| = 1 and the cap binds, as it does
-    when rounding leaves b = p - |c|^2 - 1 <= 2|c| (even -1) or b^2 overflows.
+    |c| r^2 - b r + |c| = 0 with b = p - |c|^2 - 1, real roots of product 1
+    whenever b >= 2|c|: every caller guarantees it, passing b as a sum of
+    squares (Lagrange's identity) that cannot cancel.  At equality the minimum
+    runs to |rho| = 1 and the cap binds, as it does when b^2 overflows.
     """
     a = abs(c)
     if a == 0.0:
         return 0j
-    b = p - a * a - 1.0
     r = RHO_CAP
     if b > 2.0 * a and math.isfinite(b * b):
         r = min(2.0 * a / (b + math.sqrt(max(b * b - 4.0 * a * a, 0.0))), RHO_CAP)
@@ -386,7 +386,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
 
     Pairs (|S| = 2) are solved in closed form: the only free entry rho of
     Sigma enters as log2 det(Sigma + A_2) - log2 det(Sigma), which is the
-    _pair_rho objective with p = (1 + A_00)(1 + A_11) and c = A_01.  For
+    _pair_rho objective with b = A_00 + A_11 (A has rank one) and c = A_01.  For
     |S| >= 3 the value is convex in Sigma (Diggavi & Cover 2001), so one BFGS
     start suffices: it runs over Sigma = U U^H, U = diag(1 / |v_i|) V with V a
     free complex matrix, from the recursion warm start if that is PSD, else
@@ -402,7 +402,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
     if s == 2:
         tail = Hr[:, 1:]
         A = tail @ tail.conj().T
-        rho = _pair_rho((1.0 + A[0, 0].real) * (1.0 + A[1, 1].real), complex(A[0, 1]))
+        rho = _pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
         candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
     elif s >= 3:
         warm = invert_coupling_recursion(Hr)  # exact for a constructed channel
@@ -421,29 +421,41 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
 # ---------------------------------------------------------------------------
 # genie family
 
-def _etw_summand_data(H: np.ndarray, k: int, m: int) -> Tuple[float, float, complex]:
-    """(output variance, genie variance, signal cross term) for pair (k, m), 1-based."""
-    vy = 1.0 + float(np.sum(np.abs(H[k - 1]) ** 2))
-    row = H[m - 1].copy()
-    row[m - 1] = 0.0
-    vg = 1.0 + float(np.sum(np.abs(row) ** 2))
-    c0 = complex(np.vdot(row, H[k - 1]))  # sum_i h_{k,i} conj(h_{m,i}), i != m
-    return vy, vg, c0
+def _norm2(v: np.ndarray) -> float:
+    """Squared Euclidean norm of a complex vector."""
+    return float(np.sum(v.real ** 2 + v.imag ** 2))
 
 
-def _etw_summand(rho: complex, vy: float, vg: float, c0: complex) -> float:
-    num = vy - abs(c0 + rho) ** 2 / vg
+def _etw_summand_data(H: np.ndarray, k: int, m: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Pair (k, m)'s rows over the inputs, h = H[k] and r = H[m] less its
+    direct gain (1-based), and the sum of the squared 2x2 minors of (h, r)."""
+    r = H[m - 1].copy()
+    r[m - 1] = 0.0
+    outer = np.outer(H[k - 1], r)
+    return H[k - 1], r, 0.5 * _norm2(outer - outer.T)
+
+
+def _etw_summand(rho: complex, h: np.ndarray, r: np.ndarray, minors: float) -> float:
+    """log2 Var(Y_k | G_m) - log2(1 - |rho|^2) in closed form (bits).
+
+    With G_m's noise conj(rho) Z_k + sqrt(1 - |rho|^2) W', the rows of Y_k and
+    G_m over (X, Z_k, W') are (h, 1, 0) and (r, conj(rho), sqrt(1 - |rho|^2)),
+    and Var(Y_k | G_m) v_g = v_y v_g - |c0 + rho|^2 is the sum of their squared
+    2x2 minors (Lagrange's identity): (h, r)'s, |conj(rho) h - r|^2 and
+    (1 - |rho|^2) v_y, none of which cancels against another.
+    """
     den = 1.0 - abs(rho) ** 2
-    if num <= 0 or den <= 0:
+    if den <= 0:
         return np.inf
-    return float(np.log2(num) - np.log2(den))
+    num = minors + _norm2(np.conj(rho) * h - r) + den * (1.0 + _norm2(h))
+    return math.log2(num) - math.log2(1.0 + _norm2(r)) - math.log2(den)
 
 
 class _EtwPair(NamedTuple):
     """One genie summand, pair (k, m): its _etw_summand_data, its _pair_rho
     minimizer, and its value at rho = 0 and at that minimizer."""
 
-    data: Tuple[float, float, complex]
+    data: Tuple[np.ndarray, np.ndarray, float]
     rho: complex
     at_zero: float
     at_rho: float
@@ -465,8 +477,8 @@ def _etw_pairs(H: np.ndarray, t: BoundTerm) -> List[_EtwPair]:
     for k, m in zip(t.subset, t.perm):
         pair = table.get((k, m))
         if pair is None:
-            data = _etw_summand_data(H, k, m)
-            rho = _pair_rho(data[0] * data[1], data[2])
+            h, r, minors = data = _etw_summand_data(H, k, m)
+            rho = _pair_rho(minors + _norm2(h) + _norm2(r), complex(np.vdot(r, h)))  # by minors
             pair = table[k, m] = _EtwPair(data, rho, _etw_summand(0j, *data),
                                           _etw_summand(rho, *data))
         out.append(pair)
@@ -483,31 +495,32 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     """Genie bound term at fixed genie-noise correlations (bits).
 
     Summand for k in S (ascending), partnered with m = pi_k:
-    h(Y_k | G_m) - h(G_m | Y_k, X_1..X_K).  The second entropy has the exact
-    closed form log2(pi e (1 - |rho|^2)); both routes are computed and checked
-    against each other, which pins the covariance assembly.
+    h(Y_k | G_m) - h(G_m | Y_k, X_1..X_K), each read by row index off the
+    squared QR pivots of the law's root (build_joint): Y_k's after G_m's, and
+    G_m's after X_1..X_K and Y_k, which is its noise's residual given Z_k, so
+    the second entropy is exactly log2(pi e (1 - |rho|^2)).  Both are computed
+    and checked against each other, which pins the root's assembly, up to the
+    pivot's QR error of eps times its row's norm: 32 eps sqrt(Var G_m / (1 -
+    |rho|^2)) bits.
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
     genies = [GenieSpec(target=m, rho=complex(r), paired_with=k)
               for k, m, r in zip(t.subset, t.perm, rhos)]
-    j = build_joint(ch, None, genies)  # refuses users beyond K
-    all_x = [f"X{i}" for i in range(1, ch.K + 1)]
+    root = build_joint(ch, None, genies).root  # refuses users beyond K
+    K = ch.K
+    all_x = [f"X{i}" for i in range(1, K + 1)]
     total = 0.0
-    for k, m, r in zip(t.subset, t.perm, rhos):
-        first = conditional_entropy(j, [f"Y{k}"], [f"G{m}"])
-        second = conditional_entropy(j, [f"G{m}"], [f"Y{k}"] + all_x)
+    for a, (k, m, r) in enumerate(zip(t.subset, t.perm, rhos)):
+        y, g = K + k - 1, 2 * K + a
+        first = LOG2PIE + pivot_log2det(root[[g, y]], [f"Y{k}"], [f"G{m}"])
+        second = LOG2PIE + pivot_log2det(root[list(range(K)) + [y, g]], [f"G{m}"],
+                                         all_x + [f"Y{k}"])
         residual = 1.0 - abs(r) ** 2
-        closed = LOG2PIE + float(np.log2(residual))
-        # The Cholesky route's last pivot recovers ``residual`` by cancellation
-        # from Var(G_m), and G_m's regression on Y_k carries rho, so its
-        # log-domain error is about eps (Var(G_m) + |rho|^2 Var(Y_k)) / residual.
-        ig, iy = j.indices([f"G{m}", f"Y{k}"])
-        scale = j.cov[ig, ig].real + abs(r) ** 2 * j.cov[iy, iy].real
-        tol = 32.0 * np.finfo(float).eps * scale / residual
-        if abs(second - closed) > tol:
+        closed = LOG2PIE + math.log2(residual)
+        if abs(second - closed) > 32.0 * _EPS * math.sqrt(_norm2(root[g]) / residual):
             raise InternalConsistencyError(
-                f"residual genie entropy mismatch: cholesky {second!r} vs closed form {closed!r}")
+                f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
         total += first - second
     return total
 

@@ -128,7 +128,8 @@ def referee_joint_cov(ch, noise, genies=()):
             cov[2 * K + b, col] = np.conj(v)
     labels = ([f"X{i}" for i in range(1, K + 1)] + [f"Y{i}" for i in range(1, K + 1)]
               + [f"G{g.target}" for g in genies])
-    return make_joint(labels, cov).cov
+    make_joint(labels, cov)
+    return cov
 
 
 def random_joint(rng, K):

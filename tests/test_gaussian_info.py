@@ -9,6 +9,7 @@ from ifcbounds.errors import (
     IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
     SingularCovariance)
 from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP
+from ifcbounds.model import make_joint
 
 from support import (
     count_calls, random_channel, random_joint, referee_conditioning, referee_joint_cov,
@@ -147,7 +148,8 @@ def test_two_genies_on_one_receiver_are_eigen_checked_without_a_coupling():
 def test_genies_on_distinct_receivers_need_no_eigen_check():
     # without a coupling, N = Cov(Z, Z~) is a direct sum of ones and blocks
     # [[1, rho], [conj(rho), 1]]: its smallest eigenvalue is 1 - max|rho|,
-    # positive up to RHO_CAP, which is why build_joint skips the eigen-solve
+    # positive up to RHO_CAP, which is why its Cholesky factor never fails
+    # over to an eigen-solve in build_joint
     rng = np.random.default_rng(15)
     for _ in range(60):
         K = int(rng.integers(1, 6))
@@ -166,11 +168,11 @@ def test_genies_on_distinct_receivers_need_no_eigen_check():
 
 
 def test_genie_terms_make_no_eigen_solve(monkeypatch):
-    # one law per (subset, ordering) term, 64 at K = 4, and none eigen-checked
+    # one law per (subset, ordering) term, 64 at K = 4, and none eigen-factored
     laws = count_calls(monkeypatch, ifc.build_joint)
-    eigen = count_calls(monkeypatch, np.linalg.eigvalsh)
+    eigen = [count_calls(monkeypatch, np.linalg.eigvalsh), count_calls(monkeypatch, np.linalg.eigh)]
     ifc.region(random_channel(np.random.default_rng(16), 4), families="etw")
-    assert (len(laws), len(eigen)) == (ifc.count_bounds(4), 0)
+    assert (len(laws), sum(map(len, eigen))) == (ifc.count_bounds(4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,7 @@ def test_incompatible_coupling_and_rho_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the conditioning queries against the plain route, bit for bit
+# the conditioning queries against the plain route and the 50-digit referee
 
 def _random_law(rng):
     """build_joint on K = 2..4 users, with or without a noise coupling and
@@ -381,13 +383,20 @@ def _random_query(rng, labels):
             return a, b, c
 
 
+#: the refusal text with its ratio masked: the QR pivots and the covariance
+#: factor's round a near-zero pivot differently in its third digit
+_RATIO = re.compile(r"\(\d\.\d{3}e[+-]\d+ of it\)")
+
+
 def _same_refusal(call, want_exc):
     with pytest.raises(SingularCovariance) as got:
         call()
-    assert str(got.value) == str(want_exc)
+    assert _RATIO.sub("(r of it)", str(got.value)) == _RATIO.sub("(r of it)", str(want_exc))
 
 
-def test_conditioning_queries_match_the_plain_route_bit_for_bit():
+def test_conditioning_queries_match_the_plain_route():
+    # the covariance Cholesky factor of each block, M M^H formed in floats:
+    # on these gains the two routes agree to round-off
     rng = np.random.default_rng(2301)
     n_genie = n_noise = 0
     for _ in range(120):
@@ -398,14 +407,36 @@ def test_conditioning_queries_match_the_plain_route_bit_for_bit():
             a, b, c = _random_query(rng, j.labels)
             ld_c, _ = referee_conditioning(j, a, c)
             ld_bc, _ = referee_conditioning(j, a, b + c)
-            assert ifc.conditional_entropy(j, a, c) == len(a) * LOG2PIE + ld_c
+            want = len(a) * LOG2PIE + ld_c
+            assert abs(ifc.conditional_entropy(j, a, c) - want) <= 1e-12 * abs(want)
             mi = ld_c - ld_bc
             if mi < -1e-9:
                 with pytest.raises(InternalConsistencyError):
                     ifc.conditional_mi(j, a, b, c)
             else:
-                assert ifc.conditional_mi(j, a, b, c) == max(mi, 0.0)
+                assert abs(ifc.conditional_mi(j, a, b, c) - max(mi, 0.0)) <= 1e-12
     assert n_genie >= 60 and n_noise >= 30
+
+
+@pytest.mark.parametrize("g", [1e3, 1e4, 1e5])
+def test_conditioning_at_large_gains_keeps_its_digits(g):
+    # integer gains and genie correlations of a few bits make every covariance
+    # entry exact in floats, so the 50-digit referee of each block decides.
+    # QR pivots of the root err as eps g; a covariance Cholesky factor erred
+    # as eps g^2 here: 2.5e-10, 4.7e-8 and 9.2e-7 bits
+    ch = ifc.validate_channel([[1.0, g], [0.0, g]])
+    genies = [ifc.GenieSpec(1, 0.5, 2), ifc.GenieSpec(2, -0.25j, 1)]
+    j = ifc.build_joint(ch, None, genies)
+    cov = referee_joint_cov(ch, ifc.identity_noise(2), genies)
+
+    def ld(labels):
+        idx = j.indices(labels)
+        return referee_log2det(cov[np.ix_(idx, idx)]) if labels else 0.0
+
+    for a, c in ((["Y2"], ["G1"]), (["Y1"], ["G2"]), (["G1"], ["X1", "X2", "Y2"]),
+                 (["Y1"], ["Y2"]), (["Y2", "Y1"], []), (["G2"], ["Y1"])):
+        want = len(a) * LOG2PIE + ld(c + a) - ld(c)
+        assert abs(ifc.conditional_entropy(j, a, c) - want) <= 64 * np.finfo(float).eps * g, a
 
 
 def test_refusal_texts_are_unchanged():
@@ -422,22 +453,29 @@ def test_refusal_texts_are_unchanged():
     _same_refusal(lambda: ifc.conditional_entropy(j, a, c), want.value)
     _same_refusal(lambda: ifc.conditional_mi(j, a, ["X2"], ["X1", "Y1"]), want.value)
 
-    # a block that is not positive definite
-    j = ifc.JointGaussian(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
-    with pytest.raises(SingularCovariance) as want:
-        referee_conditioning(j, ["B"], ["A"])
-    assert str(want.value) == "joint cov of ['A'] and ['B'] is not positive definite"
-    _same_refusal(lambda: ifc.conditional_entropy(j, ["B"], ["A"]), want.value)
-    _same_refusal(lambda: ifc.conditional_mi(j, ["B"], ["A"]), want.value)
-    _same_refusal(lambda: ifc.diff_entropy(j, ["A", "B"]),
-                  "joint cov of [] and ['A', 'B'] is not positive definite")
+    # a covariance that is not PSD is refused where its law is built
+    with pytest.raises(NotPSD) as got:
+        make_joint(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert str(got.value) == "covariance has eigenvalue -1.000e+00: no such joint law exists"
+
+
+def test_a_singular_conditioning_set_is_refused_in_every_order():
+    # Y2 = Y1 + X2 under fully correlated noise: past a lost pivot of C the QR
+    # would condition on a direction round-off chose (Var(X1 | C) is 1/2, and
+    # one order read it as 0)
+    ch = ifc.validate_channel([[1.0, 0.0], [1.0, 1.0]])
+    j = ifc.build_joint(ch, ifc.validate_noise_correlation([[1.0, 1.0], [1.0, 1.0]]))
+    for c in (["Y1", "Y2", "X2"], ["X2", "Y1", "Y2"], ["Y2", "X2", "Y1"]):
+        with pytest.raises(SingularCovariance, match=re.escape(f"cov of {c} is singular")):
+            ifc.conditional_entropy(j, ["X1"], c)
+    assert abs(ifc.conditional_entropy(j, ["X1"], ["Y1", "X2"]) - (LOG2PIE - 1.0)) < 1e-15
 
 
 def test_each_law_answers_with_its_own_label_order():
     rng = np.random.default_rng(2302)
     j1 = ifc.build_joint(random_channel(rng, 3), None, [ifc.GenieSpec(2, 0.4j, 1)])
     perm = rng.permutation(j1.dim)
-    j2 = ifc.JointGaussian(tuple(j1.labels[p] for p in perm), j1.cov[np.ix_(perm, perm)])
+    j2 = ifc.JointGaussian(tuple(j1.labels[p] for p in perm), root=j1.root[perm])
     names = ["G2", "Y3", "X1", "Y1"]
     for j in (j2, j1, j2):
         got = j.indices(names)

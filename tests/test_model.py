@@ -14,6 +14,7 @@ from ifcbounds.errors import (
     NotUnitDiagonal,
     SchemaError,
 )
+from ifcbounds.model import make_joint
 
 from support import sample_interior_sigma
 
@@ -106,11 +107,21 @@ def test_row_vector_psd_boundary():
 
 
 def test_duplicate_joint_labels_rejected():
-    from ifcbounds.model import make_joint
     with pytest.raises(LabelOverlap):
-        ifc.JointGaussian(("X1", "X1"), np.eye(2))
+        ifc.JointGaussian(("X1", "X1"), root=np.eye(2))
     with pytest.raises(LabelOverlap):
         make_joint(["Y1", "X2", "Y1"], np.eye(3))
+
+
+def test_a_covariance_is_not_read_as_a_root():
+    # the root is keyword-only, so a law built from a covariance goes through
+    # make_joint, which stores a square root of it
+    cov = np.array([[1.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(TypeError):
+        ifc.JointGaussian(("X1", "Y1"), cov)
+    j = make_joint(("X1", "Y1"), cov)
+    assert np.allclose(j.root @ j.root.conj().T, cov, rtol=0, atol=1e-15)
+    assert np.allclose(j.cov, cov, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 import ifcbounds as ifc
 from ifcbounds.errors import TooLarge, ValidationError
+from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles, _explicit_value
 from ifcbounds.outer_bound import _embed_sigma, _reduced_channel
 
@@ -12,7 +13,7 @@ from support import random_channel, random_joint, random_upper_triangular_channe
 def two_user_unit_mi_joint():
     # X ~ CN(0,1), Y = X + Z: I(Y;X) = 1 bit
     cov = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
-    return ifc.JointGaussian(labels=("X1", "Y1"), cov=cov)
+    return make_joint(("X1", "Y1"), cov)
 
 
 def test_mc_recovers_one_bit():
@@ -43,7 +44,7 @@ def test_mc_deterministic_given_seed():
 
 def test_mc_independent_blocks_near_zero():
     cov = np.eye(2, dtype=complex)
-    j = ifc.JointGaussian(labels=("X1", "Y1"), cov=cov)
+    j = make_joint(("X1", "Y1"), cov)
     est, se = ifc.mc_mutual_information(j, ["Y1"], ["X1"], [], n_samples=100_000, seed=5)
     assert abs(est) <= 3 * se + 1e-9
 

@@ -18,12 +18,14 @@ from ifcbounds.oracle import CorrelationAngles
 from ifcbounds.outer_bound import (
     EIG_FLOOR,
     _embed_sigma,
+    _etw_closed_form,
     _etw_summand,
     _etw_summand_data,
     _factored_min_sigma,
     _factored_value_grad,
     _floor_eig,
     _lean_kra_value,
+    _norm2,
     _reduced_channel,
     _term_grams,
 )
@@ -249,10 +251,10 @@ def test_floored_end_point_is_accepted_near_the_boundary():
 @pytest.mark.parametrize("dust", [5e-10, 2e-9])
 def test_kra_summand_below_zero_is_dust_or_an_error(monkeypatch, dust):
     # conditional_mi's sign policy, per summand.  The singleton term of [[1]]
-    # is log2 2 = 1 bit; a QR doctored by 2^(-(1 + dust) / 2) reads it as -dust
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr",
-                        lambda a, mode: qr(a, mode=mode) * 2.0 ** (-(1.0 + dust) / 2.0))
+    # is log2 2 = 1 bit; a pivot reader doctored by 2^-(1 + dust) reads it as -dust
+    reader = outer_bound.squared_pivots
+    monkeypatch.setattr(outer_bound, "squared_pivots",
+                        lambda rows: reader(rows) * 2.0 ** -(1.0 + dust))
     ch, t = ifc.validate_channel([[1.0]]), ifc.BoundTerm((1,), (1,))
     if dust < 1e-9:
         assert ifc.kra_term_value(ch, ifc.identity_noise(1), t) == 0.0
@@ -338,8 +340,8 @@ def test_etw_real_channels_match_real_line_sweep():
         vmin, _ = ifc.etw_term_min(ch, t)
         swept = 0.0
         for k, m in zip(t.subset, t.perm):
-            vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
-            swept += min(_etw_summand(r, vy, vg, c0) for r in grid)
+            data = _etw_summand_data(ch.entries, k, m)
+            swept += min(_etw_summand(r, *data) for r in grid)
         assert abs(vmin - swept) < 1e-6
 
 
@@ -385,8 +387,8 @@ def test_pair_closed_forms_beat_dense_scan(K):
         swept = 0.0
         for k, m in zip(t.subset, t.perm):
             if (k, m) not in summand_scan:
-                vy, vg, c0 = _etw_summand_data(ch.entries, k, m)
-                summand_scan[k, m] = _scan_min(lambda r: _etw_summand(r, vy, vg, c0))
+                data = _etw_summand_data(ch.entries, k, m)
+                summand_scan[k, m] = _scan_min(lambda r: _etw_summand(r, *data))
             swept += summand_scan[k, m]
         vmin, _ = ifc.etw_term_min(ch, t)
         assert vmin <= swept + 1e-12, (t, vmin, swept)
@@ -527,7 +529,7 @@ def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(outer_bound, "build_joint", doctored)
             with pytest.raises(InternalConsistencyError,
-                               match="residual genie entropy mismatch: cholesky"):
+                               match="residual genie entropy mismatch: QR"):
                 ifc.etw_term_value(ch, t, rhos)
 
 
@@ -554,11 +556,25 @@ def test_etw_referee_matches_the_closed_form():
             assert abs(ifc.etw_term_value(ch, t, rhos) - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the Cholesky route cancels eps g^2 "
-                                       "of each genie summand")
+@pytest.mark.parametrize("g", [1e2, 3e2, 1e3, 1e4, 1e5])
+def test_etw_closed_form_keeps_its_digits_at_large_gains(g):
+    # the closed form sums squared 2x2 minors (Lagrange's identity); written
+    # as v_y v_g - |c0 + rho|^2 it cancelled to 1.1e-5 bits at g = 1e3.  The
+    # reference route's QR pivots err as eps g
+    for H in ([[1.0, g], [0.0, g]], [[1.0, g], [g, 1.0]]):
+        ch = ifc.validate_channel(np.array(H))
+        for t in ifc.enumerate_terms(2):
+            for rhos in ((0j,) * t.size, ifc.etw_term_min(ch, t)[1]):
+                want = referee_etw_term(ch, t, rhos)
+                assert abs(_etw_closed_form(ch.entries, t, rhos) - want) <= 1e-12, (H, t)
+                got = ifc.etw_term_value(ch, t, rhos)
+                assert abs(got - want) <= 64 * np.finfo(float).eps * g, (H, t)
+
+
 @pytest.mark.parametrize("g", [1e4, 1e5])
 def test_etw_full_set_value_is_exact_at_its_witness(g):
-    # off by +5.7e-8 bits at 1e4 and -5.29e-6 bits at 1e5
+    # a covariance Cholesky route was off by +5.7e-8 bits at 1e4 and -5.29e-6
+    # bits at 1e5; the QR pivots of the law's root keep the digits
     ch = ifc.validate_channel(np.array([[1.0, g], [g, 1.0]]))
     full = ifc.region(ch, families="etw").inequalities[-1]
     want = referee_etw_term(ch, ifc.BoundTerm(full.subset, full.witness["perm"]),
@@ -601,7 +617,9 @@ def test_etw_pair_table_gives_each_term_its_own_closed_form():
     ch = random_channel(np.random.default_rng(51), 4)
     for t in ifc.enumerate_terms(4):
         data = [_etw_summand_data(ch.entries, k, m) for k, m in zip(t.subset, t.perm)]
-        best = tuple(outer_bound._pair_rho(vy * vg, c0) for vy, vg, c0 in data)
+        # b = v_y v_g - |c0|^2 - 1 by its 2x2 minors, as the table computes it
+        best = tuple(outer_bound._pair_rho(minors + _norm2(h) + _norm2(r), complex(np.vdot(r, h)))
+                     for h, r, minors in data)
         top = min([(0j,) * t.size, best],
                   key=lambda rhos: sum(_etw_summand(r, *d) for r, d in zip(rhos, data)))
         assert ifc.etw_term_min(ch, t) == (ifc.etw_term_value(ch, t, top), top), t
