@@ -510,8 +510,8 @@ def test_every_candidate_refused_raises_the_last_refusal(monkeypatch, family, si
 def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
     # one E[Y_1 G_2^*] entry off by offset moves the residual variance of G_2
     # by about as much; the closed form does not see it, so the two routes
-    # must disagree.  At cross gains of 1000, Var(G_m) ~ 1e6 widens the
-    # tolerance to ~1e-8 bits, still far below a 1e-4 error.
+    # must disagree.  At cross gains of 1000, Var(G_m) ~ 1e6 widens the QR
+    # tolerance to ~1e-11 bits, still far below a 1e-4 error.
     t = ifc.BoundTerm((1, 2), (2, 1))
     rhos = (0.5 + 0.2j, 0.0)
     for ch, offset in ((random_channel(np.random.default_rng(48), 2), 1e-6),
@@ -534,8 +534,8 @@ def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
 
 
 def test_genie_residual_check_holds_at_large_cross_gains():
-    # cross gains up to ~2000 make the Cholesky route's error scale with
-    # Var(G_m) and |rho|^2 Var(Y_k); no honest term may trip the check
+    # cross gains up to ~2000 widen the QR pivot's error with sqrt(Var(G_m));
+    # no honest term may trip the check
     rng = np.random.default_rng(70)
     for K in (2, 3) * 15:
         H = 10 ** rng.uniform(1, 3.3, (K, K)) * np.exp(2j * np.pi * rng.random((K, K)))
