@@ -57,6 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian_info import (
+    _EPS,
     LOG2PIE,
     RHO_CAP,
     GenieSpec,
@@ -86,7 +87,6 @@ ENUM_MAX_K = 8
 FULL_REGION_MAX_K = 6
 
 _LN2 = float(np.log(2.0))
-_EPS = float(np.finfo(float).eps)
 
 
 def minimize(*args, **kwargs):
