@@ -3,12 +3,12 @@
 Everything here reduces to log-determinants of conditional covariances, each
 read off the squared pivots of a QR factor of some rows of a square root of
 the law (:func:`squared_pivots`), which does not square the gains.  A
-``JointGaussian`` holds its root: :func:`build_joint` writes it as one linear
-map of inputs and noises, so only its noise law is left to factor, and
-``model.make_joint`` factors covariances from elsewhere.  A law resolves its
-labels once.  The correlated-noise terms, ``construct`` and ``certify`` read
-the same pivots off :func:`square_root`, whose noise factor is triangular;
-all routes word a lost pivot alike (:func:`refuse_lost_pivots`).
+``JointGaussian`` holds its root, and every channel law's starts from
+:func:`square_root`: :func:`build_joint` appends one written row per genie,
+the correlated-noise terms, ``construct`` and ``certify`` read it as it is,
+and ``model.make_joint`` factors covariances from elsewhere.  A law resolves
+its labels once; all routes word a lost pivot alike
+(:func:`refuse_lost_pivots`).
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -29,7 +29,7 @@ from .errors import (
     RhoTooLarge,
     SingularCovariance,
 )
-from .model import ChannelMatrix, JointGaussian, NoiseCorrelation, psd_factor
+from .model import ChannelMatrix, JointGaussian, NoiseCorrelation
 
 LOG2PIE = float(np.log2(np.pi * np.e))
 _EPS = float(np.finfo(float).eps)
@@ -46,9 +46,9 @@ RHO_CAP = 1.0 - 1e-6
 class GenieSpec:
     """Side information G_m = sum_{j != m} h_{m,j} X_j + noise.
 
-    The genie noise has unit variance, correlates with receiver noise
-    Z_{paired_with} with coefficient ``rho`` (E[Z_k Z~*] = rho), and is
-    independent of every other noise and of all inputs.
+    The genie noise is Z~ = conj(rho) Z_k + sqrt(1 - |rho|^2) W', k =
+    ``paired_with`` and W' a fresh unit noise: unit variance, E[Z_k Z~*] = rho,
+    independent of the inputs, and tied to the other noises only through Z_k.
     """
 
     target: int
@@ -60,25 +60,19 @@ class GenieSpec:
             raise RhoTooLarge(f"|rho| = {abs(self.rho):.8f} exceeds {RHO_CAP}")
 
 
-def _check_size(ch: ChannelMatrix, noise: Optional[NoiseCorrelation]) -> None:
-    if noise is not None and noise.K != ch.K:
-        raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {ch.K}x{ch.K}")
-
-
 def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
                 genies: Sequence[GenieSpec] = ()) -> JointGaussian:
     """Joint law of (X_1..X_K, Y_1..Y_K, G_m per genie) with unit-power inputs.
 
     Labels are "X1".."XK", "Y1".."YK", then "G<m>" in genie order.  Inputs are
     iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma, or I by default.
-    (X, Y, G) is [[I, 0], [B, I]] (X, Z, Z~) with B = [H; R], R's rows the
-    targets' channel rows less their direct gains, and N = Cov(Z, Z~) =
-    [[Sigma, C], [C^H, I]] (C[k-1, a] = rho_a, k paired), so the law's root is
-    [[I, 0], [B, L_N]] with L_N the psd_factor of N, which refuses an N that
-    is not PSD as NotPSD.
+    The (X, Y) rows are :func:`square_root`'s, and each genie's row is written
+    out: the target's channel row less its direct gain on X, conj(rho) times
+    row ``paired_with`` of the noise factor, and sqrt(1 - |rho|^2) on a fresh
+    noise W'.  So every GenieSpec has a law, and a coupling is refused only
+    as square_root refuses it.
     """
     K = ch.K
-    _check_size(ch, noise)
     seen_targets = set()
     for g in genies:
         if not (1 <= g.target <= K) or not (1 <= g.paired_with <= K):
@@ -89,17 +83,16 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
         seen_targets.add(g.target)
 
     n_g = len(genies)
-    root = np.eye(2 * K + n_g, dtype=complex)
-    root[K:2 * K, :K] = ch.entries
-    N = np.eye(K + n_g, dtype=complex)
-    if noise is not None:
-        N[:K, :K] = noise.sigma
+    root = np.zeros((2 * K + n_g, 2 * K + n_g), dtype=complex)
+    root[:2 * K, :2 * K] = square_root(ch, noise)
     for a, g in enumerate(genies):
-        root[2 * K + a, :K] = ch.entries[g.target - 1]
-        root[2 * K + a, g.target - 1] = 0.0
-        N[g.paired_with - 1, K + a] = g.rho
-        N[K + a, g.paired_with - 1] = np.conj(g.rho)
-    root[K:, K:] = psd_factor(N, "noise law of Sigma and the genie correlations")
+        row = root[2 * K + a]
+        row[:K] = ch.entries[g.target - 1]
+        row[g.target - 1] = 0.0
+        # zeros kept unsigned (+ 0.0) and |rho|^2 summed as re^2 + im^2: with genies on
+        # distinct receivers, the Cholesky factor of Cov(Z, Z~) entry for entry
+        row[K:2 * K] = root[K + g.paired_with - 1, K:2 * K] * g.rho.conjugate() + 0.0
+        row[2 * K + a] = math.sqrt(1.0 - (g.rho.conjugate() * g.rho).real)
     root.setflags(write=False)
     labels = ([f"X{i}" for i in range(1, K + 1)]
               + [f"Y{i}" for i in range(1, K + 1)]
@@ -122,7 +115,8 @@ def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
     or given 1-based ``users`` the root of their law given every other input
     (H and Sigma cut to those users, in that order); a coupling of another
     size raises IndexOutOfRange, a singular one SingularCovariance."""
-    _check_size(ch, noise)
+    if noise is not None and noise.K != ch.K:
+        raise IndexOutOfRange(f"noise correlation is {noise.K}x{noise.K}, channel is {ch.K}x{ch.K}")
     idx = np.arange(ch.K) if users is None else np.array(users) - 1
     H = ch.entries.take(idx, 0).take(idx, 1)  # the entries np.ix_ selects, at less cost
     K = H.shape[0]

@@ -145,19 +145,6 @@ def identity_noise(K: int) -> NoiseCorrelation:
 # ---------------------------------------------------------------------------
 # joint Gaussian vectors
 
-def psd_factor(mat: np.ndarray, name: str) -> np.ndarray:
-    """A square root F of the Hermitian matrix mat, F F^H = mat: its Cholesky
-    factor, or when that fails V diag(sqrt(max(w, 0))) from its eigen-solve,
-    which raises NotPSD at an eigenvalue below -PSD_EIG_TOL max(1, w_max)."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(mat)
-    if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
-        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}: no such joint law exists")
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
 @dataclass(frozen=True, eq=False)
 class JointGaussian:
     """A zero-mean circularly-symmetric complex Gaussian vector v = root w, w white.
@@ -197,8 +184,10 @@ class JointGaussian:
 
 
 def make_joint(labels: Sequence[str], cov: np.ndarray) -> JointGaussian:
-    """Validate a covariance (Hermitian, eigenvalues >= -1e-10 max(1, w_max))
-    and freeze the joint Gaussian of its :func:`psd_factor`."""
+    """Validate a covariance and freeze the joint Gaussian of a square root F,
+    F F^H = cov: its Cholesky factor, or when that fails V diag(sqrt(max(w, 0)))
+    from its eigen-solve, which raises NotPSD at an eigenvalue below
+    -PSD_EIG_TOL max(1, w_max)."""
     arr = np.array(cov, dtype=complex)
     n = len(labels)
     if arr.shape != (n, n):
@@ -207,7 +196,14 @@ def make_joint(labels: Sequence[str], cov: np.ndarray) -> JointGaussian:
         raise NonFinite("covariance contains non-finite entries")
     if np.max(np.abs(arr - arr.conj().T)) > 1e-9 * max(1.0, float(np.max(np.abs(arr)))):
         raise NotHermitian("covariance is not Hermitian")
-    root = psd_factor((arr + arr.conj().T) / 2.0, "covariance")
+    arr = (arr + arr.conj().T) / 2.0
+    try:
+        root = np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(arr)
+        if w[0] < -PSD_EIG_TOL * max(1.0, float(w[-1])):
+            raise NotPSD(f"covariance has eigenvalue {w[0]:.3e}: no such joint law exists") from None
+        root = v * np.sqrt(np.clip(w, 0.0, None))
     root.setflags(write=False)
     return JointGaussian(tuple(labels), root=root)
 

@@ -224,14 +224,6 @@ def _lean_kra_value_grad(sigma: np.ndarray,
     return float(grams.signs @ logdet) / _LN2, grad / _LN2
 
 
-def _lean_kra_value(sigma: np.ndarray, grams: _TermBlocks) -> float:
-    """The telescoped value (bits) alone; inf off the positive definite cone."""
-    sign, logdet = np.linalg.slogdet(grams.masks * sigma + grams.shifts)
-    if np.any(sign.real <= 0.0):
-        return np.inf
-    return float(grams.signs @ logdet) / _LN2
-
-
 def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
     """Term t at ``noise`` by the telescoped form the solver ranks by, each
     block Sigma_n + T T^H of the reduced law read off a QR factor of its root
@@ -410,7 +402,7 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
             candidates.append(warm)
         end = _factored_min_sigma(candidates[-1], grams)  # the warm start if PSD
         candidates.append(_floor_eig(end, EIG_FLOOR))
-    candidates.sort(key=lambda sig: _lean_kra_value(sig, grams))
+    candidates.sort(key=lambda sig: _lean_kra_value_grad(sig, grams)[0])
 
     def score(sig):
         noise = _embed_sigma(sig, t, ch.K)

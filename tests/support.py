@@ -13,7 +13,6 @@ import numpy as np
 import ifcbounds as ifc
 from ifcbounds.errors import SingularCovariance
 from ifcbounds.gaussian_info import EIG_TOL
-from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
 
 
@@ -89,47 +88,6 @@ def random_rank_one(rng, K):
     b = (0.3 + rng.random(K)) * np.exp(2j * np.pi * rng.random(K))
     a = t * b / np.abs(b)  # makes a_k * conj(b_k) = t_k |b_k| real positive
     return ifc.rank_one_channel(a, b), a, b
-
-
-def referee_joint_cov(ch, noise, genies=()):
-    """Covariance of (X, Y, G) written entry by entry from the model, then
-    validated by make_joint (so an infeasible Sigma/rho pair raises NotPSD):
-    E[Y X^*] = H, Cov(Y) = H H^H + Sigma, and for G = r X + Z~ with r the
-    target's channel row less its direct gain, E[X G^*] = r^H,
-    E[Y G^*] = H r^H + rho at the paired receiver, Var G = 1 + |r|^2, and
-    E[G G2^*] = r r2^H across genies, whose noises are independent."""
-    K = ch.K
-    H = ch.entries
-    d = 2 * K + len(genies)
-    cov = np.zeros((d, d), dtype=complex)
-    cov[:K, :K] = np.eye(K)
-    cov[K:2 * K, :K] = H
-    cov[:K, K:2 * K] = H.conj().T
-    cov[K:2 * K, K:2 * K] = H @ H.conj().T + noise.sigma
-
-    def row(g):
-        r = H[g.target - 1].copy()
-        r[g.target - 1] = 0.0
-        return r
-
-    for a, g in enumerate(genies):
-        col = 2 * K + a
-        r = row(g)
-        cov[:K, col] = r.conj()
-        cov[col, :K] = r
-        yg = H @ r.conj()
-        yg[g.paired_with - 1] += g.rho
-        cov[K:2 * K, col] = yg
-        cov[col, K:2 * K] = yg.conj()
-        cov[col, col] = 1.0 + np.sum(np.abs(r) ** 2)
-        for b in range(a):
-            v = np.vdot(row(genies[b]), r)
-            cov[col, 2 * K + b] = v
-            cov[2 * K + b, col] = np.conj(v)
-    labels = ([f"X{i}" for i in range(1, K + 1)] + [f"Y{i}" for i in range(1, K + 1)]
-              + [f"G{g.target}" for g in genies])
-    make_joint(labels, cov)
-    return cov
 
 
 def random_joint(rng, K):
@@ -208,6 +166,59 @@ def referee_log2det(mat):
         ctx.prec = REFEREE_DIGITS
         M = [[_dec(x) for x in row] for row in mat]
         return float(_ln_det(M) / Decimal(2).ln())
+
+
+def referee_joint_cov(ch, noise, genies=()):
+    """Covariance of (X, Y, G) written entry by entry from the model at
+    REFEREE_DIGITS digits, each entry rounded once to a float.  With
+    G_a = r_a X + conj(rho_a) Z_k + sqrt(1 - |rho_a|^2) W'_a, r_a the target's
+    channel row less its direct gain and k = k_a its paired receiver:
+    E[Y X^*] = H, Cov(Y) = H H^H + Sigma, E[G_a X^*] = r_a,
+    E[Y G_a^*] = H r_a^H + rho_a Sigma[:, k_a], Var G_a = 1 + |r_a|^2 and
+    E[G_a G_b^*] = r_a r_b^H + conj(rho_a) rho_b Sigma[k_a, k_b]."""
+    K = ch.K
+    with localcontext() as ctx:
+        ctx.prec = REFEREE_DIGITS
+
+        def mul(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def conj(x):
+            return x[0], -x[1]
+
+        def add(*xs):
+            return sum(x[0] for x in xs), sum(x[1] for x in xs)
+
+        def dot(u, v):  # sum_l u_l conj(v_l)
+            return add(*(mul(a, conj(b)) for a, b in zip(u, v)))
+
+        H = [[_dec(x) for x in row] for row in ch.entries]
+        S = [[_dec(x) for x in row] for row in noise.sigma]
+        one, zero = (Decimal(1), Decimal(0)), (Decimal(0), Decimal(0))
+        r = [[zero if j == g.target - 1 else H[g.target - 1][j] for j in range(K)]
+             for g in genies]
+        rho = [_dec(g.rho) for g in genies]
+        k = [g.paired_with - 1 for g in genies]
+        n = 2 * K + len(genies)
+        cov = [[None] * n for _ in range(n)]
+        for i in range(K):
+            for j in range(K):
+                cov[i][j] = one if i == j else zero
+                cov[K + i][j] = H[i][j]
+                cov[K + i][K + j] = add(dot(H[i], H[j]), S[i][j])
+            for a in range(len(genies)):
+                cov[K + i][2 * K + a] = add(dot(H[i], r[a]), mul(rho[a], S[i][k[a]]))
+        for a in range(len(genies)):
+            for j in range(K):
+                cov[2 * K + a][j] = r[a][j]
+            for b in range(len(genies)):
+                cov[2 * K + a][2 * K + b] = (add(one, dot(r[a], r[a])) if a == b else add(
+                    dot(r[a], r[b]), mul(mul(conj(rho[a]), rho[b]), S[k[a]][k[b]])))
+        for p in range(n):  # each entry left unset is the conjugate of its transpose
+            for q in range(n):
+                if cov[p][q] is None:
+                    cov[p][q] = conj(cov[q][p])
+        return np.array([[complex(float(re), float(im)) for re, im in row] for row in cov])
 
 
 def referee_kra_term(ch, noise, t):

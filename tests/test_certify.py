@@ -432,6 +432,38 @@ def test_large_gain_recovery_certificates_survive_their_rechecks(shape, path, to
         assert abs(certify._ladder_by_information(ch) - ifc.tin_sum_rate(ch)) <= 1e-12 * want, g
 
 
+def _huge_direct_gains(g):
+    """A dense K = 3 term whose first two direct gains are g: (channel,
+    identity coupling, full-set term in natural order)."""
+    ch = ifc.validate_channel(np.array([[g, 0.5, 0.2], [0.3, g, 0.4], [0.1, 0.6, 1.0]]))
+    return ch, ifc.identity_noise(3), ifc.BoundTerm((1, 2, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("g", [1e9, 1e12])
+def test_kra_recheck_keeps_its_digits_at_huge_direct_gains(g):
+    # the telescoped re-check reads QR factors of the blocks' roots [L_n | T]:
+    # within an ulp or two of the 50-digit value where the chain below is not
+    ch, noise, t = _huge_direct_gains(g)
+    want = referee_kra_term(ch, noise, t)
+    assert abs(outer_bound._bound_at_coupling(ch, noise, t) - want) <= 1e-15 * want
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the KRA chain conditions on X pivots "
+                   "below the eps rule without refusing, and reads below its referee")
+def test_kra_chain_at_huge_direct_gains_is_exact_or_refused():
+    # X_1 and X_2 given the outputs before them keep 1.3e-24 of their variance
+    # at g = 1e12 (1.3e-18 at 1e9), below the eps rule pivot_log2det applies to
+    # a conditioning set; kra_term_value reads 2.5e-4 bits below the referee
+    # (3.9e-8 at 1e9), a bound below its exact value, and refuses nothing
+    ch, noise, t = _huge_direct_gains(1e12)
+    want = referee_kra_term(ch, noise, t)
+    try:
+        got = ifc.kra_term_value(ch, noise, t)
+    except SingularCovariance:
+        return
+    assert abs(got - want) <= 1e-9
+
+
 def test_bound_at_the_recovered_coupling_is_read_off_square_roots():
     # the telescoped blocks Sigma_n + T T^H as slogdets of their covariances
     # err as eps g^2: at gains [4, 2000] that form misses the ladder by 3.1e-9
@@ -456,9 +488,9 @@ def test_bound_at_the_recovered_coupling_is_read_off_square_roots():
             want = referee_kra_term(ch, sig, t)
             got = outer_bound._bound_at_coupling(ch, sig, t)
             idx = [p - 1 for p in t.perm]
-            lean = outer_bound._lean_kra_value(sig.sigma[np.ix_(idx, idx)],
-                                               outer_bound._term_grams(
-                                                   outer_bound._reduced_channel(ch, t)))
+            lean = outer_bound._lean_kra_value_grad(sig.sigma[np.ix_(idx, idx)],
+                                                    outer_bound._term_grams(
+                                                        outer_bound._reduced_channel(ch, t)))[0]
             assert abs(got - want) <= 1e-13 * max(1.0, want), t
             assert abs(got - lean) <= 1e-12 * max(1.0, want), t
 

@@ -24,7 +24,7 @@ from ifcbounds.outer_bound import (
     _factored_min_sigma,
     _factored_value_grad,
     _floor_eig,
-    _lean_kra_value,
+    _lean_kra_value_grad,
     _norm2,
     _reduced_channel,
     _term_grams,
@@ -128,7 +128,7 @@ def test_lean_matches_generic_on_random_terms():
         t = ifc.BoundTerm(subset, tuple(perm))
         sig_r = sample_interior_sigma(rng, size).sigma
         Hr = _reduced_channel(ch, t)
-        lean = _lean_kra_value(sig_r, _term_grams(Hr))
+        lean = _lean_kra_value_grad(sig_r, _term_grams(Hr))[0]
         full = np.eye(K, dtype=complex)
         pos = [p - 1 for p in t.perm]
         full[np.ix_(pos, pos)] = sig_r
@@ -192,8 +192,8 @@ def test_lean_kra_value_is_midpoint_convex(seed, s):
     grams = _term_grams(random_channel(rng, s).entries)
     s0 = sample_interior_sigma(rng, s).sigma
     s1 = sample_interior_sigma(rng, s).sigma
-    mean = (_lean_kra_value(s0, grams) + _lean_kra_value(s1, grams)) / 2
-    assert _lean_kra_value((s0 + s1) / 2, grams) <= mean + 1e-9
+    mean = (_lean_kra_value_grad(s0, grams)[0] + _lean_kra_value_grad(s1, grams)[0]) / 2
+    assert _lean_kra_value_grad((s0 + s1) / 2, grams)[0] <= mean + 1e-9
 
 
 @pytest.mark.parametrize("s", [3, 4])
@@ -222,7 +222,7 @@ def test_four_user_terms_are_minima():
         assert val <= ifc.kra_term_value(ch, ifc.identity_noise(4), t) + 1e-9
         # samples stand for couplings in pi order: the lean value is the term
         grams = _term_grams(_reduced_channel(ch, t))
-        assert val <= min(_lean_kra_value(sig, grams) for sig in samples) + 1e-9
+        assert val <= min(_lean_kra_value_grad(sig, grams)[0] for sig in samples) + 1e-9
         # no descent along segments toward random interior couplings
         for _ in range(20):
             toward = sample_interior_sigma(rng, 4).sigma
@@ -244,7 +244,7 @@ def test_floored_end_point_is_accepted_near_the_boundary():
     assert np.linalg.eigvalsh(sig)[0] == pytest.approx(EIG_FLOOR, rel=1e-6)
     noise = _embed_sigma(sig, t, 4)
     val = ifc.kra_term_value(ch, noise, t)
-    assert abs(val - _lean_kra_value(sig, grams)) < 1e-9
+    assert abs(val - _lean_kra_value_grad(sig, grams)[0]) < 1e-9
     assert abs(val - referee_kra_term(ch, noise, t)) < CERT_TOL
 
 
@@ -366,8 +366,8 @@ def _scan_min(fun, n=48):
 
 def _pair_kra_scan(ch, t):
     grams = _term_grams(_reduced_channel(ch, t))
-    return _scan_min(lambda rho: _lean_kra_value(
-        np.array([[1.0, rho], [np.conj(rho), 1.0]]), grams))
+    return _scan_min(lambda rho: _lean_kra_value_grad(
+        np.array([[1.0, rho], [np.conj(rho), 1.0]]), grams)[0])
 
 
 #: Cauchy-Schwarz is tight on term (2, 1) of this channel: both families'
@@ -399,8 +399,8 @@ def test_pair_closed_forms_beat_dense_scan(K):
             # 1e-6) reaches ~5e-10 bits, so it is held to the referee instead
             vmin, wit = ifc.kra_term_min(ch, t)
             idx = [p - 1 for p in t.perm]
-            at_wit = _lean_kra_value(wit.sigma[np.ix_(idx, idx)],
-                                     _term_grams(_reduced_channel(ch, t)))
+            at_wit = _lean_kra_value_grad(wit.sigma[np.ix_(idx, idx)],
+                                          _term_grams(_reduced_channel(ch, t)))[0]
             swept = _pair_kra_scan(ch, t)
             assert at_wit <= swept + 1e-12, (t, at_wit, swept)
             assert abs(vmin - referee_kra_term(ch, wit, t)) <= CERT_TOL, t
