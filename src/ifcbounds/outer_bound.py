@@ -25,9 +25,9 @@ minimized by one BFGS start with the analytic gradient over a factored
 correlation Sigma = U U^H whose rows of U are kept at unit length, which keeps
 it feasible by construction.  It starts from the coupling recursion's
 inverse (``construct.invert_coupling_recursion``) when that is PSD: on a
-constructed channel it is the exact minimizer.  That BFGS solve is the
-module's only use of scipy, which is imported on its first call
-(``minimize``).  Candidates are ranked by these fast forms and re-scored in
+constructed channel it is the exact minimizer.  The BFGS is the module's own
+(``minimize``), a few lines of numpy, so no command that bounds a channel
+loads scipy.  Candidates are ranked by these fast forms and re-scored in
 that order through the reference route (``kra_term_value`` /
 ``etw_term_value``) until one is accepted (``_first_scored``).  A key
 reduction used throughout: conditioning on the inputs outside S makes a term
@@ -89,12 +89,68 @@ FULL_REGION_MAX_K = 6
 _LN2 = float(np.log(2.0))
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call so that importing
-    the package, and every command that solves no KRA term on three or more
-    users, does not pay scipy's start-up."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+#: BFGS iteration cap and gradient tolerance (infinity norm) of each factored
+#: solve.  No solve in the full regions of 15 dense channels (K = 2 to 4,
+#: ``random_channel`` with rng seeds 0 to 14) took more than 111 iterations,
+#: and on their 270 terms of three or more users a tolerance of 1e-9 gave the
+#: same values to 8.5e-15 bits.
+BFGS_MAXITER = 2000
+BFGS_GTOL = 1e-7
+
+#: Armijo sufficient-decrease constant of the backtracking line search
+_ARMIJO = 1e-4
+
+
+class Solve(NamedTuple):
+    """End point of a BFGS solve, its objective evaluations and iterations."""
+
+    x: np.ndarray
+    nfev: int
+    nit: int
+
+
+def minimize(fun: Callable, x0: np.ndarray) -> Solve:
+    """Minimize fun(x) -> (value, gradient) by BFGS (Nocedal & Wright 2006,
+    alg. 6.1) from x0.
+
+    The inverse Hessian starts at the identity, is scaled by s'y / y'y before
+    its first update (their eq. 6.20), and is kept after a step with s'y <= 0.
+    Each line search starts from scipy's first trial step, min(1, 2.02 (f_k -
+    f_{k-1}) / slope) with f_{-1} = f_0 + |g_0| / 2, and halves it until it
+    gives a decrease that meets the Armijo condition.  The solve stops when the
+    gradient's infinity norm is at most BFGS_GTOL, after BFGS_MAXITER
+    iterations, or when the line search finds no decrease: its step has
+    shrunk until the decrease a linear model promises rounds away against f_k.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    H = np.eye(x.size)
+    f_prev = f + np.linalg.norm(g) / 2.0
+    while nit < BFGS_MAXITER and np.max(np.abs(g)) > BFGS_GTOL:
+        p = -(H @ g)
+        slope = float(g @ p)
+        step = 2.02 * (f - f_prev) / slope
+        step = min(step, 1.0) if step > 0.0 else 1.0
+        while True:
+            if not f + step * slope < f:
+                return Solve(x, nfev, nit)
+            x_new = x + step * p
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new < f and f_new <= f + _ARMIJO * step * slope:
+                break
+            step /= 2.0
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if nit == 0:
+                H *= sy / float(y @ y)
+            Hy = H @ y
+            H += ((sy + y @ Hy) / sy * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / sy
+        x, g, f_prev, f = x_new, g_new, f, f_new
+        nit += 1
+    return Solve(x, nfev, nit)
 
 
 @dataclass(frozen=True)
@@ -255,17 +311,25 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
     Var(Y_k | X_<k, Y_<k) as Y_k's squared pivot, and Var(Z_k | Z_<k) is
     L_kk^2, so summand k is log2 |R_kk|^2 - 2 log2 L_kk: the pi e factors
     cancel and no gain is squared.  A squared output pivot at or below EIG_TOL
-    times its variance raises SingularCovariance; a summand below zero is
+    times its variance raises SingularCovariance, and so, checked after them,
+    does an X pivot at or below eps times it, as pivot_log2det refuses a
+    conditioning set singular to working precision; a summand below zero is
     round-off, counted as zero above -1e-9 and InternalConsistencyError below."""
     if max(t.subset) > ch.K:
         raise ValidationError(f"term {t} references users beyond K={ch.K}")
     perm, s = t.perm, t.size
     root = square_root(ch, noise, perm)  # refuses a coupling of another size
     rows = root[[i for k in range(s) for i in (s + k, k)][:-1]]
-    pivots = squared_pivots(rows)[0::2]
-    refuse_lost_pivots(pivots, np.sum(np.abs(rows[0::2]) ** 2, axis=1), lambda k: (
-        [f"Y{perm[k]}"], [f"X{u}" for u in perm[:k]] + [f"Y{u}" for u in perm[:k]]
-        + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm]))
+    squares = squared_pivots(rows)
+    var = np.sum(rows.real ** 2 + rows.imag ** 2, axis=1)
+
+    def given(k):  # the labels Y_pi_k is conditioned on
+        return ([f"X{u}" for u in perm[:k]] + [f"Y{u}" for u in perm[:k]]
+                + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm])
+    pivots = squares[0::2]
+    refuse_lost_pivots(pivots, var[0::2], lambda k: ([f"Y{perm[k]}"], given(k)))
+    for k in np.flatnonzero(squares[1::2] <= _EPS * var[1::2])[:1]:
+        raise SingularCovariance(f"cov of {given(int(k) + 1)} is singular to working precision")
     total = 0.0  # a plain loop: a term has few summands, and it beats three array passes
     for k, v in enumerate((np.log2(pivots) - 2.0 * np.log2(np.diagonal(root)[s:].real)).tolist()):
         if v <= -1e-9:
@@ -304,13 +368,6 @@ def _pair_rho(b: float, c: complex) -> complex:
 #: blending up to 1e-6 costs under 4e-7 bits, and kra_term_value rejected no
 #: candidate on the 2082 |S| >= 3 terms of 70 measured regions.
 EIG_FLOOR = 1e-6
-
-#: BFGS iteration cap and gradient-norm tolerance of each factored solve.
-#: No solve in the full regions of 15 dense channels (K = 2 to 4) took more
-#: than 105 iterations, and on 222 terms of three or more users a tolerance of
-#: 1e-9 gave the same values to 4.5e-13 bits.
-BFGS_MAXITER = 2000
-BFGS_GTOL = 1e-7
 
 
 def _floor_eig(sigma: np.ndarray, floor: float) -> np.ndarray:
@@ -352,9 +409,8 @@ def _factored_min_sigma(sigma0: np.ndarray, grams) -> np.ndarray:
     """End point of BFGS over the factored coupling Sigma = U U^H from sigma0."""
     s = sigma0.shape[0]
     V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
-    res = minimize(_factored_value_grad, np.concatenate([V.real.ravel(), V.imag.ravel()]),
-                   args=(grams,), jac=True, method="BFGS",
-                   options={"maxiter": BFGS_MAXITER, "gtol": BFGS_GTOL})
+    res = minimize(lambda x: _factored_value_grad(x, grams),
+                   np.concatenate([V.real.ravel(), V.imag.ravel()]))
     U, _ = _unit_rows(res.x, s)
     return U @ U.conj().T
 

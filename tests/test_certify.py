@@ -396,7 +396,8 @@ def test_entropy_chain_refuses_only_the_output_pivots():
         ifc.kra_term_value(wide, ifc.validate_noise_correlation(sigma),
                            ifc.BoundTerm((1, 2), (1, 2)))
     # a large direct gain leaves X1 given Y1 a variance within EIG_TOL of its
-    # own; X1 is only conditioned on, so the chain scores, and exactly
+    # own, but above eps times it; X1 is only conditioned on, so the chain
+    # scores, and exactly
     ch = ifc.validate_channel(np.array([[3e6, 0.5], [0.0, 1.3]]))
     noise = ifc.validate_noise_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
     t = ifc.BoundTerm((1, 2), (1, 2))
@@ -448,20 +449,20 @@ def test_kra_recheck_keeps_its_digits_at_huge_direct_gains(g):
     assert abs(outer_bound._bound_at_coupling(ch, noise, t) - want) <= 1e-15 * want
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the KRA chain conditions on X pivots "
-                   "below the eps rule without refusing, and reads below its referee")
 def test_kra_chain_at_huge_direct_gains_is_exact_or_refused():
     # X_1 and X_2 given the outputs before them keep 1.3e-24 of their variance
     # at g = 1e12 (1.3e-18 at 1e9), below the eps rule pivot_log2det applies to
-    # a conditioning set; kra_term_value reads 2.5e-4 bits below the referee
-    # (3.9e-8 at 1e9), a bound below its exact value, and refuses nothing
-    ch, noise, t = _huge_direct_gains(1e12)
-    want = referee_kra_term(ch, noise, t)
-    try:
-        got = ifc.kra_term_value(ch, noise, t)
-    except SingularCovariance:
-        return
-    assert abs(got - want) <= 1e-9
+    # a conditioning set; read past them, the chain would be 2.5e-4 bits below
+    # the referee (3.9e-8 at 1e9), a bound below its exact value
+    for g in (1e9, 1e12):
+        ch, noise, t = _huge_direct_gains(g)
+        want = referee_kra_term(ch, noise, t)
+        try:
+            got = ifc.kra_term_value(ch, noise, t)
+        except SingularCovariance as exc:  # worded as pivot_log2det words it
+            assert "cov of ['X1', 'Y1'] is singular to working precision" in str(exc)
+            continue
+        assert abs(got - want) <= 1e-9, g
 
 
 def test_bound_at_the_recovered_coupling_is_read_off_square_roots():

@@ -1,9 +1,10 @@
-"""scipy stays off the import path of commands that do not need it.
+"""scipy stays off the import path of every command but ``verify``.
 
-Importing scipy.optimize is most of a fresh CLI call's start-up, so only the
-BFGS solve of KRA terms on three or more users, the grid oracle and the
-Monte-Carlo sampler load it.  Each case runs in a fresh interpreter, because
-the test process itself has scipy loaded.
+Importing scipy.optimize would be most of a fresh CLI call's start-up.  KRA
+terms on three or more users are solved by the package's own BFGS, so only
+``verify`` (the Monte-Carlo sampler's ``ndtri``) and the grid oracle, which
+no other command runs, load it.  Each case runs in a fresh interpreter,
+because the test process itself has scipy loaded.
 """
 
 import json
@@ -80,9 +81,14 @@ def test_commands_without_bfgs_load_no_scipy(specs, argv):
     assert res["scipy"] == []
 
 
-def test_kra_on_three_users_loads_scipy_and_matches_in_process(specs, capsys):
-    argv = ["evaluate", "--families", "kra,etw", specs["dense3"]]
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--families", "kra,etw", "{dense3}"],
+    ["evaluate", "--sum-rate-only", "{dense3}"],
+    ["evaluate", "--sum-rate-only", "{dense4}"],
+], ids=" ".join)
+def test_kra_on_three_users_loads_no_scipy_and_matches_in_process(specs, argv, capsys):
+    argv = [a.format(**specs) for a in argv]
     res = _fresh_cli(*argv)
-    assert "scipy.optimize" in res["scipy"]
+    assert res["scipy"] == []
     code = main(argv)
     assert (res["code"], res["out"]) == (code, capsys.readouterr().out)

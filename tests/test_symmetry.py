@@ -63,11 +63,12 @@ def test_region_is_symmetric(seed, K, scale, symmetry):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: KRA witnesses on the EIG_FLOOR blend "
                    "move by up to ~1.5e-6 bits under a phase rotation")
 def test_region_is_symmetric_on_the_phase_rotation_reproducer():
-    # hypothesis drew seed 522140 for the test above: subset (1, 3, 4) moves by
-    # 2.94e-6 bits.  The full-set value of random_channel(default_rng(54), 4,
-    # scale=8.0) moves by 1.48e-6 bits under D H D* with D = diag(e^{ik}), and
-    # by 1.35e-6 with D = diag(e^{i pi k / 2}); where a value lands follows the
-    # last bits of the rotated gains, so each of these is tried
+    # hypothesis drew seed 522140 for the test above: subset (1, 3, 4) moved by
+    # 2.94e-6 bits under scipy's BFGS, and a value moves by 1.36e-6 under the
+    # package's own.  The full-set value of random_channel(default_rng(54), 4,
+    # scale=8.0) moved by 1.48e-6 bits under D H D* with D = diag(e^{ik}), and
+    # by 1.35e-6 with D = diag(e^{i pi k / 2}) (8.0e-7 and 5.8e-7 now); where a
+    # value lands follows the last bits of the rotated gains, so each is tried
     _assert_symmetric(522140, 4, 8.0, "rotate", "kra,etw", 1e-6)
     ch = random_channel(np.random.default_rng(54), 4, scale=8.0)
     values = {q.subset: q.value_bits for q in ifc.region(ch).inequalities}
