@@ -29,13 +29,30 @@ constructed channel it is the exact minimizer.  The BFGS is the module's own
 (``minimize``), a few lines of numpy, so no command that bounds a channel
 loads scipy.  Candidates are ranked by these fast forms and re-scored in
 that order through the reference route (``kra_term_value`` /
-``etw_term_value``) until one is accepted (``_first_scored``).  A key
-reduction used throughout: conditioning on the inputs outside S makes a term
-depend only on the |S| x |S| subchannel H[pi, pi] and the matching block of
-the noise correlation, so every search runs in the reduced space and the
-witness is embedded back at the end.  Both reference routes read QR pivots of
-a square root: ETW's of the genie law's (``build_joint``), KRA's, and
-``certify``'s KRA re-check (``_bound_at_coupling``), of the reduced law's.
+``etw_term_value``) until one is accepted (``_first_scored``).
+
+``region`` reports, per subset and family, only the least value over the
+orderings, so it prunes KRA orderings that cannot reach it.  At any feasible
+Sigma with value f and Sigma-gradient G, convexity and the elliptope's SDP
+dual bound the term's minimum below by LB = f + s min(0, lambda_min(G -
+diag y)), y_i = Re (G Sigma)_ii (``_kra_lower_bound``, which derives it and
+its round-off allowance, 1e-9 bits plus 2 s^2 eps (1 + 2 / lambda) sum_b
+tr(M_b) / (lambda ln 2) over the value's blocks M_b, with lambda =
+lambda_min(Sigma)).
+The orderings of a subset of three or more users are solved in order of
+their starting value, each passed the least value reported before it; a
+solve whose LB clears that value by more than the allowance stops, and the
+ordering is neither ranked nor re-scored.  Such an ordering would have
+reported more than the least value, so it could neither win nor tie, and
+the winner is the least value, the lexicographically first ordering on a
+tie: the output does not depend on the order in which orderings are solved.
+
+A key reduction used throughout: conditioning on the inputs outside S makes
+a term depend only on the |S| x |S| subchannel H[pi, pi] and the matching
+block of the noise correlation, so every search runs in the reduced space and
+the witness is embedded back at the end.  Both reference routes read QR
+pivots of a square root: ETW's of the genie law's (``build_joint``), KRA's,
+and ``certify``'s KRA re-check (``_bound_at_coupling``), of the reduced law's.
 """
 
 from __future__ import annotations
@@ -102,14 +119,17 @@ _ARMIJO = 1e-4
 
 
 class Solve(NamedTuple):
-    """End point of a BFGS solve, its objective evaluations and iterations."""
+    """End point of a BFGS solve, its objective evaluations and iterations,
+    and whether ``stop`` ended it."""
 
     x: np.ndarray
     nfev: int
     nit: int
+    stopped: bool = False
 
 
-def minimize(fun: Callable, x0: np.ndarray) -> Solve:
+def minimize(fun: Callable, x0: np.ndarray,
+             stop: Optional[Callable[[], bool]] = None) -> Solve:
     """Minimize fun(x) -> (value, gradient) by BFGS (Nocedal & Wright 2006,
     alg. 6.1) from x0.
 
@@ -121,6 +141,9 @@ def minimize(fun: Callable, x0: np.ndarray) -> Solve:
     gradient's infinity norm is at most BFGS_GTOL, after BFGS_MAXITER
     iterations, or when the line search finds no decrease: its step has
     shrunk until the decrease a linear model promises rounds away against f_k.
+    ``stop``, if given, is called at x0 and after each accepted step, when
+    fun's latest evaluation is at the new iterate; a true answer ends the
+    solve there, with ``stopped`` set.
     """
     x = np.asarray(x0, dtype=float)
     f, g = fun(x)
@@ -128,6 +151,8 @@ def minimize(fun: Callable, x0: np.ndarray) -> Solve:
     H = np.eye(x.size)
     f_prev = f + np.linalg.norm(g) / 2.0
     while nit < BFGS_MAXITER and np.max(np.abs(g)) > BFGS_GTOL:
+        if stop is not None and stop():
+            return Solve(x, nfev, nit, True)
         p = -(H @ g)
         slope = float(g @ p)
         step = 2.02 * (f - f_prev) / slope
@@ -387,30 +412,96 @@ def _unit_rows(x: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
     return V / norms[:, None], norms
 
 
-def _factored_value_grad(x: np.ndarray, grams) -> Tuple[float, np.ndarray]:
+def _factored_value_grad(x: np.ndarray, grams, seen: Optional[list] = None
+                         ) -> Tuple[float, np.ndarray]:
     """Telescoped value at Sigma = U U^H and its gradient in x = (Re V, Im V).
 
     With W = G U, row i of the V-gradient is 2 (w_i - Re<u_i, w_i> u_i) / |v_i|:
     the Sigma-gradient pulled back through U, projected off the row direction
-    that the normalization discards.
+    that the normalization discards.  ``seen``, if given, is set to
+    [Sigma, value, G] at x when the value is finite.
     """
     s = grams.masks.shape[1]
     U, norms = _unit_rows(x, s)
-    val, G = _lean_kra_value_grad(U @ U.conj().T, grams)
+    sigma = U @ U.conj().T
+    val, G = _lean_kra_value_grad(sigma, grams)
     if G is None:
         return val, np.zeros_like(x)
+    if seen is not None:
+        seen[:] = [sigma, val, G]
     W = G @ U
     radial = np.sum(U.conj() * W, axis=1).real
     dV = 2.0 * (W - radial[:, None] * U) / norms[:, None]
     return val, np.concatenate([dV.real.ravel(), dV.imag.ravel()])
 
 
-def _factored_min_sigma(sigma0: np.ndarray, grams) -> np.ndarray:
-    """End point of BFGS over the factored coupling Sigma = U U^H from sigma0."""
+def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
+                     grams: _TermBlocks) -> Tuple[float, float]:
+    """(LB, allowance) in bits: a lower bound on the term's minimum over the
+    elliptope {Sigma' >= 0, diag Sigma' = 1}, from the value and the
+    Sigma-gradient G of _lean_kra_value_grad at a feasible sigma, and the
+    round-off the computed LB may carry past the exact one.
+
+    The term f is convex in Sigma (Diggavi & Cover 2001), so f(Sigma') >=
+    f(Sigma) + Re tr(G (Sigma' - Sigma)).  For any real y, the elliptope's SDP
+    dual (Vandenberghe & Boyd 1996) gives Re tr(G Sigma') = sum y_i +
+    Re tr((G - diag y) Sigma') >= sum y_i + s lambda_min(G - diag y), as
+    tr Sigma' = s.  With y_i = Re (G Sigma)_ii, sum y_i = Re tr(G Sigma), so
+
+        min f >= LB = f(Sigma) + s min(0, lambda_min(G - diag y)).
+
+    The allowance bounds what round-off moves.  Each block M_b of the value
+    is factored backward stably, as M_b + dM_b with |dM_b| <= s eps |M_b|, so
+    its log-det moves by at most s |M_b^-1| |dM_b| = s^2 eps kappa_b, and its
+    inverse, hence G, by s eps kappa_b |M_b^-1|; a change E of G moves the
+    linear bound by at most 2 s |E|, since |tr(E P)| <= |E| tr P for P >= 0
+    and tr(Sigma + Sigma') = 2 s.  M_b is Sigma_n, padded with the identity,
+    plus a PSD Gram, so |M_b^-1| <= 1 / lambda with lambda = lambda_min(Sigma)
+    <= 1 (interlacing), and kappa_b <= tr(M_b) / lambda.  The eigenvalue's own
+    error, eps s |G|, is below the inverse's term; doubling covers it.  A
+    reported value is the entropy chain at a candidate, within 1e-12 bits of
+    its 50-digit referee (tests/test_reported_values.py), not the slogdet
+    form at it; 1e-9 bits covers that.  In bits, with the sum over the 2 s
+    blocks:
+
+        allowance = 1e-9 + 2 s^2 eps (1 + 2 / lambda) sum_b tr(M_b) / (lambda ln 2).
+
+    Off the positive definite cone (lambda <= 0 after round-off) the
+    allowance is inf: the bound says nothing there.
+    """
+    s = sigma.shape[0]
+    y = np.einsum("ij,ji->i", G, sigma).real
+    low, lam = np.linalg.eigvalsh(np.stack([G - np.diag(y), sigma]))[:, 0]
+    lb = value + s * min(0.0, float(low))
+    if lam <= 0.0:
+        return lb, np.inf
+    traces = float(np.einsum("bii->", grams.masks + grams.shifts).real)  # diag Sigma = 1
+    allowance = 1e-9 + 2.0 * s * s * _EPS * (1.0 + 2.0 / lam) * traces / (lam * _LN2)
+    return lb, allowance
+
+
+def _factored_min_sigma(sigma0: np.ndarray, grams,
+                        prune_above: Optional[float] = None) -> Optional[np.ndarray]:
+    """End point of BFGS over the factored coupling Sigma = U U^H from sigma0.
+
+    With prune_above, the solve is ended at the first iterate whose
+    _kra_lower_bound clears prune_above by more than its allowance, and the
+    result is None: no point of the elliptope scores at or below prune_above.
+    """
     s = sigma0.shape[0]
     V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
-    res = minimize(lambda x: _factored_value_grad(x, grams),
-                   np.concatenate([V.real.ravel(), V.imag.ravel()]))
+    x0 = np.concatenate([V.real.ravel(), V.imag.ravel()])
+    if prune_above is None:
+        res = minimize(lambda x: _factored_value_grad(x, grams), x0)
+    else:
+        seen: list = []
+
+        def cleared() -> bool:
+            lb, allowance = _kra_lower_bound(*seen, grams)
+            return lb - prune_above > allowance
+        res = minimize(lambda x: _factored_value_grad(x, grams, seen), x0, cleared)
+        if res.stopped:
+            return None
     U, _ = _unit_rows(res.x, s)
     return U @ U.conj().T
 
@@ -429,7 +520,28 @@ def _first_scored(ranked: Sequence, score: Callable):
         return _first_scored(rest, score)
 
 
-def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelation]:
+def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[_TermBlocks, List[np.ndarray]]:
+    """The blocks of t's telescoped value and its candidates before a solve:
+    the identity, then the pair coupling (|S| = 2) or the recursion warm
+    start if it is PSD (|S| >= 3; exact for a constructed channel).  The last
+    candidate is where a BFGS solve starts."""
+    Hr = _reduced_channel(ch, t)
+    s = Hr.shape[0]
+    candidates = [np.eye(s, dtype=complex)]
+    if s == 2:
+        tail = Hr[:, 1:]
+        A = tail @ tail.conj().T
+        rho = _pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
+        candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
+    elif s >= 3:
+        warm = invert_coupling_recursion(Hr)
+        if warm is not None:
+            candidates.append(warm)
+    return _term_grams(Hr), candidates
+
+
+def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None
+                 ) -> Optional[Tuple[float, NoiseCorrelation]]:
     """Minimize the correlated-noise term over the noise correlation.
 
     Pairs (|S| = 2) are solved in closed form: the only free entry rho of
@@ -442,21 +554,28 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, NoiseCorrelati
     the smallest eigenvalue EIG_FLOOR.  That, the identity, the pair coupling
     and the PSD warm start are ranked by the telescoped value (stably, so the
     identity wins ties) and re-scored through kra_term_value by _first_scored.
+
+    ``prune_above`` is a value already reported for another ordering of S.
+    With it, a |S| >= 3 solve computes at each accepted iterate Sigma the
+    lower bound LB = f(Sigma) + s min(0, lambda_min(G - diag y)) on the term's
+    minimum, with y_i = Re (G Sigma)_ii and G the Sigma-gradient of the
+    telescoped value f: convexity gives f(Sigma') >= f(Sigma) + Re tr(G
+    (Sigma' - Sigma)), and on the elliptope Re tr(G Sigma') >= sum y_i +
+    s lambda_min(G - diag y), with sum y_i = Re tr(G Sigma).  Once LB exceeds
+    prune_above by more than its round-off allowance (the log-dets and
+    inverses of the blocks M_b err as eps times their condition numbers,
+    at most tr(M_b) / lambda_min(Sigma); _kra_lower_bound derives it), the
+    term is pruned: the solve ends and None is returned, with no candidate
+    ranked or re-scored.  The value this call would otherwise report is the
+    entropy chain at a point of the elliptope, so it is above prune_above:
+    a pruned ordering cannot win or tie.  Without prune_above, and for
+    |S| <= 2, the result is never None.
     """
-    Hr = _reduced_channel(ch, t)
-    s = Hr.shape[0]
-    grams = _term_grams(Hr)
-    candidates = [np.eye(s, dtype=complex)]
-    if s == 2:
-        tail = Hr[:, 1:]
-        A = tail @ tail.conj().T
-        rho = _pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
-        candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
-    elif s >= 3:
-        warm = invert_coupling_recursion(Hr)  # exact for a constructed channel
-        if warm is not None:
-            candidates.append(warm)
-        end = _factored_min_sigma(candidates[-1], grams)  # the warm start if PSD
+    grams, candidates = _kra_start(ch, t)
+    if t.size >= 3:
+        end = _factored_min_sigma(candidates[-1], grams, prune_above)
+        if end is None:
+            return None
         candidates.append(_floor_eig(end, EIG_FLOOR))
     candidates.sort(key=lambda sig: _lean_kra_value_grad(sig, grams)[0])
 
@@ -596,6 +715,29 @@ def etw_term_min(ch: ChannelMatrix, t: BoundTerm) -> Tuple[float, Tuple[complex,
 # ---------------------------------------------------------------------------
 # region assembly
 
+def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
+                   perms: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], tuple]:
+    """kra_term_min of every ordering of subset that is not pruned, by ordering.
+
+    On three or more users, the orderings are solved in order of their
+    starting value (stably), and each is passed the least value reported
+    before it, so that a loser is pruned once its lower bound clears it.
+    """
+    def start_value(perm):  # the telescoped value where the BFGS solve starts
+        grams, candidates = _kra_start(ch, BoundTerm(subset, perm))
+        return _lean_kra_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), grams)[0]
+    if len(subset) >= 3:
+        perms = sorted(perms, key=start_value)
+    scored: Dict[Tuple[int, ...], tuple] = {}
+    best = None
+    for perm in perms:
+        res = kra_term_min(ch, BoundTerm(subset, perm), best)
+        if res is not None:
+            scored[perm] = res
+            best = res[0] if best is None else min(best, res[0])
+    return scored
+
+
 def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
            sum_rate_only: bool = False) -> BoundReport:
     """Evaluate the bound region: one retained inequality per subset.
@@ -607,7 +749,14 @@ def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
     winning family and its witness are recorded.  A full region above
     K = FULL_REGION_MAX_K raises TooLarge.  In sum-rate-only mode only
     S = all users is evaluated (all orderings up to K = 8, natural order
-    beyond that).
+    beyond that).  The winner among the orderings is the one with the least
+    value, the lexicographically first on a tie.  KRA orderings of three or
+    more users are solved in order of their starting value, and a solve is
+    pruned (kra_term_min's prune_above) once its lower bound clears the least
+    value reported before it by more than a round-off allowance: that
+    ordering would have reported more, so it could neither win nor tie, and
+    the report does not depend on the order in which orderings are solved.
+    kra_term_min is still called once per (subset, ordering).
     """
     names = families.split(",") if isinstance(families, str) else families
     fams = tuple(dict.fromkeys(n.strip().upper() for n in names if n.strip()))
@@ -632,17 +781,16 @@ def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
         perms = list(permutations(subset)) if K <= ENUM_MAX_K else [subset]
         best = None  # (value, family, witness dict)
         for fam in fams:
-            fam_best = None
-            for perm in perms:
-                t = BoundTerm(subset, perm)
-                if fam == FAMILY_KRA:
-                    val, noise = kra_term_min(ch, t)
-                    wit = {"perm": perm, "sigma": noise.sigma}
-                else:
-                    val, rhos = etw_term_min(ch, t)
-                    wit = {"perm": perm, "rhos": rhos}
-                if fam_best is None or val < fam_best[0]:
-                    fam_best = (val, fam, wit)
+            if fam == FAMILY_KRA:
+                scored = {perm: (val, {"perm": perm, "sigma": noise.sigma}) for perm, (val, noise)
+                          in _kra_orderings(ch, subset, perms).items()}
+            else:
+                scored = {}
+                for perm in perms:
+                    val, rhos = etw_term_min(ch, BoundTerm(subset, perm))
+                    scored[perm] = (val, {"perm": perm, "rhos": rhos})
+            perm = min(scored, key=lambda p: (scored[p][0], p))  # the first ordering on a tie
+            fam_best = (scored[perm][0], fam, scored[perm][1])
             if subset == users:
                 per_family_sum_rate[fam_best[1]] = fam_best[0]
             if best is None or fam_best[0] < best[0]:

@@ -1,0 +1,143 @@
+"""Pruning of KRA orderings at the convex-duality lower bound.
+
+``region`` solves the orderings of a subset in order of their starting value
+and stops a solve once ``_kra_lower_bound`` shows that the ordering cannot
+reach the least value reported before it.  These tests hold that the bound
+is a lower bound, that it is tight at an interior minimiser, and that pruning
+changes no byte of any report.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import ifcbounds as ifc
+from ifcbounds import outer_bound
+from ifcbounds.outer_bound import (
+    _kra_lower_bound,
+    _kra_start,
+    _lean_kra_value_grad,
+    _reduced_channel,
+    _term_grams,
+)
+
+from support import count_calls, random_channel, random_z_channel, sample_interior_sigma
+
+
+def _unpruned(monkeypatch):
+    """Make region solve every ordering to the end: each kra_term_min call
+    gets +inf as the value to prune above.  Results are memoised per channel
+    and term, since they do not depend on the families asked for."""
+    real, memo = outer_bound.kra_term_min, {}
+
+    def solve_all(ch, t, prune_above=None):
+        key = (ch.entries.tobytes(), t)
+        if key not in memo:
+            memo[key] = real(ch, t, math.inf)
+        return memo[key]
+    monkeypatch.setattr(outer_bound, "kra_term_min", solve_all)
+
+
+def _reports(channels, families, sum_rate_only=False):
+    return [json.dumps(ifc.region(ch, families=families, sum_rate_only=sum_rate_only)
+                       .to_json_dict()) for ch in channels]
+
+
+def _symmetric(K, a=1.0, b=0.4 + 0.3j):
+    """a I + b (J - I): every relabelling leaves it as it is, so all
+    orderings of a subset tie exactly."""
+    return ifc.validate_channel(a * np.eye(K) + b * (np.ones((K, K)) - np.eye(K)))
+
+
+@pytest.mark.parametrize("K", [3, 4])
+@pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 30.0])
+def test_pruning_changes_no_report(monkeypatch, K, scale):
+    channels = [random_channel(np.random.default_rng(seed), K, scale) for seed in range(6)]
+    families = ["kra", "kra,etw"]
+    pruned = [_reports(channels, f) for f in families]
+    with monkeypatch.context() as m:
+        _unpruned(m)
+        assert [_reports(channels, f) for f in families] == pruned
+
+
+def test_pruning_changes_no_sum_rate_at_five_users(monkeypatch):
+    channels = [random_channel(np.random.default_rng(seed), 5, 2.0) for seed in range(2)]
+    pruned = [_reports(channels, f, sum_rate_only=True) for f in ("kra", "kra,etw")]
+    with monkeypatch.context() as m:
+        _unpruned(m)
+        assert [_reports(channels, f, sum_rate_only=True) for f in ("kra", "kra,etw")] == pruned
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_exact_ties_keep_the_first_ordering(monkeypatch, K):
+    ch = _symmetric(K)
+    rep = ifc.region(ch, families="kra")
+    # every ordering of a subset has the same reduced channel: the first wins
+    assert all(q.witness["perm"] == q.subset for q in rep.inequalities)
+    pruned = _reports([ch], "kra") + _reports([ch], "kra,etw")
+    with monkeypatch.context() as m:
+        _unpruned(m)
+        assert _reports([ch], "kra") + _reports([ch], "kra,etw") == pruned
+
+
+def _bound_at(sigma, grams):
+    return _kra_lower_bound(sigma, *_lean_kra_value_grad(sigma, grams), grams)
+
+
+@pytest.mark.parametrize("K, scale, seed", [(3, 1.0, 71), (4, 8.0, 72)])
+def test_lower_bound_is_below_the_minimum(monkeypatch, K, scale, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, K, scale)
+    subset = (1, 2, K)
+    real = outer_bound._kra_lower_bound
+    for perm in (subset, subset[::-1]):
+        t = ifc.BoundTerm(subset, perm)
+        grid, _ = ifc.grid_min_sigma(ch, t, resolution=8)
+        val, _ = ifc.kra_term_min(ch, t)
+        grams = _term_grams(_reduced_channel(ch, t))
+        bounds = [_bound_at(sample_interior_sigma(rng, 3).sigma, grams) for _ in range(20)]
+        iterates = []
+        with monkeypatch.context() as m:
+            m.setattr(outer_bound, "_kra_lower_bound",
+                      lambda *a: iterates.append(real(*a)) or iterates[-1])
+            assert ifc.kra_term_min(ch, t, math.inf)[0] == val  # +inf prunes nothing
+        assert len(iterates) > 1
+        for lb, _ in bounds + iterates:
+            # the grid's value is the term at a feasible coupling, so it is at
+            # least the minimum; 1e-9 covers its explicit formula's round-off
+            assert lb <= grid + 1e-9, (perm, lb - grid)
+            assert lb <= val + 1e-9, (perm, lb - val)
+
+
+def test_lower_bound_is_tight_at_an_interior_minimiser():
+    # a constructed channel's generating coupling is the exact minimiser of
+    # its natural-order term, and it is interior
+    rng = np.random.default_rng(25)
+    t = ifc.BoundTerm((1, 2, 3), (1, 2, 3))
+    for _ in range(3):
+        ch, sig = random_z_channel(rng, 3)
+        val, _ = ifc.kra_term_min(ch, t)
+        lb, allowance = _bound_at(sig.sigma, _term_grams(_reduced_channel(ch, t)))
+        assert abs(val - lb) <= 1e-6 and allowance < 1e-6
+    # a dense channel whose solve ends inside the cone, where BFGS_GTOL leaves
+    # the end point a little short of the minimiser
+    ch = random_channel(np.random.default_rng(94), 3)
+    t = ifc.BoundTerm((1, 2, 3), (2, 1, 3))
+    grams, candidates = _kra_start(ch, t)
+    end = outer_bound._factored_min_sigma(candidates[-1], grams)
+    assert np.linalg.eigvalsh(end)[0] > 1e-2
+    val, _ = ifc.kra_term_min(ch, t)
+    lb, _ = _bound_at(end, grams)
+    assert val - 1e-6 <= lb <= val + 1e-9
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_region_calls_each_term_once_and_rescores_fewer(monkeypatch, K):
+    ch = random_channel(np.random.default_rng(80 + K), K)
+    mins = count_calls(monkeypatch, outer_bound.kra_term_min)
+    values = count_calls(monkeypatch, outer_bound.kra_term_value)
+    ifc.region(ch)
+    assert len(mins) == ifc.count_bounds(K)
+    assert len(values) < ifc.count_bounds(K)
