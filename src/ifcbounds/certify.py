@@ -53,7 +53,7 @@ from .achievability import (
 # degradedness_witness is re-exported: the benchmark's tracer wraps it, and tests patch it, here
 from .construct import degradedness_witness, recover_noise_correlation
 from .errors import InternalConsistencyError, SingularCovariance
-from .gaussian_info import refuse_lost_pivots, square_root
+from .gaussian_info import refuse_lost_pivots, square_root, squared_pivots
 from .model import (
     BOUND_ONLY,
     CERTIFIED,
@@ -99,19 +99,17 @@ def _ladder_by_information(ch: ChannelMatrix, earlier_known: bool = True) -> flo
     I(Y_k; X_k | X_<k) = -log2 Var(X_k | X_<k, Y_k) for unit-power inputs, or,
     with no ``earlier_known`` input, I(Y_k; X_k): the interference-as-noise sum.
 
-    Given X_<k, Y_k's row of [H, I] loses the columns of X_<k, so one batched
-    QR of the pairs (that row, X_k) holds Var(Y_k | X_<k) = |R_11|^2 and
-    Var(X_k | X_<k, Y_k) = |R_22|^2.  Var(Y_k | X_<k) or Var(Y_k | X_<=k) =
-    |R_11 R_22|^2 at or below EIG_TOL times Var(Y_k) raises SingularCovariance,
-    as conditional_mi's does.
+    Given X_<k, Y_k's row of [H, I] loses the columns of X_<k, so the squared
+    pivots of the pairs (that row, X_k), one batched squared_pivots call, are
+    Var(Y_k | X_<k) and Var(X_k | X_<k, Y_k).  Var(Y_k | X_<k), or
+    Var(Y_k | X_<=k) = their product, at or below EIG_TOL times Var(Y_k)
+    raises SingularCovariance, as conditional_mi's does.
     """
     K = ch.K
     root = square_root(ch)
     if earlier_known:
         root[K:, :K] = np.triu(ch.entries)
-    R = np.linalg.qr(np.stack([root[K:], root[:K]], axis=2).conj(), mode="r")
-    before = np.abs(R[:, 0, 0]) ** 2
-    own = np.abs(R[:, 1, 1]) ** 2
+    before, own = squared_pivots(np.stack([root[K:], root[:K]], axis=1)).T
     var = 1.0 + np.sum(np.abs(ch.entries) ** 2, axis=1)
     # pivot 2(k-1) is Y_k given X_<k, pivot 2k - 1 is Y_k given (X_k, X_<k)
     refuse_lost_pivots(np.stack([before, before * own], axis=1).ravel(), np.repeat(var, 2),

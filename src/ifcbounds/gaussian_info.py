@@ -8,7 +8,8 @@ the law (:func:`squared_pivots`), which does not square the gains.  A
 the correlated-noise terms, ``construct`` and ``certify`` read it as it is,
 and ``model.make_joint`` factors covariances from elsewhere.  A law resolves
 its labels once; all routes word a lost pivot alike
-(:func:`refuse_lost_pivots`).
+(:func:`refuse_lost_pivots`), and a conditioning set singular to working
+precision alike (:func:`refuse_singular_pivots`).
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -105,8 +106,12 @@ def squared_pivots(rows: np.ndarray) -> np.ndarray:
     root M of a law (v = M w, w white): R^H R is their covariance, so |R_ii|^2
     is row i's variance given the rows before it, with an error of eps times
     the gains, not their squares, and no conditioning block is inverted.  The
-    raw Householder output holds R's diagonal, so no triangle is copied out."""
-    return np.abs(np.diagonal(np.linalg.qr(rows.conj().T, mode="raw")[0])) ** 2
+    raw Householder output holds R's diagonal, so no triangle is copied out.
+    A stack of row blocks (..., n, m) is factored in one batched call, block
+    by block as LAPACK factors one, so each block's pivots are bit for bit
+    those of its own call."""
+    h = np.linalg.qr(np.swapaxes(rows.conj(), -1, -2), mode="raw")[0]
+    return np.abs(np.diagonal(h, axis1=-2, axis2=-1)) ** 2
 
 
 def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
@@ -140,6 +145,25 @@ def refuse_lost_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) ->
             f"its variance ({squares[i] / var[i]:.3e} of it), lost to round-off")
 
 
+def refuse_singular_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) -> None:
+    """SingularCovariance at the first squared pivot at or below eps times its
+    variance; ``query(i)`` names the conditioning labels pivot i's row ends.
+    Such a set is singular to working precision, and a QR conditioning on it
+    would condition on a direction round-off chose."""
+    for i in np.flatnonzero(squares <= _EPS * var)[:1]:
+        raise SingularCovariance(f"cov of {list(query(int(i)))} is singular to working precision")
+
+
+def refuse_pivots(squares: np.ndarray, var: np.ndarray, a: list, c: list) -> None:
+    """pivot_log2det's refusals, for the squared pivots of rows (C, A) and
+    their variances: one of C's at or below eps times its variance
+    (refuse_singular_pivots), then one of A's at or below EIG_TOL times it
+    (refuse_lost_pivots)."""
+    n = len(c)
+    refuse_singular_pivots(squares[:n], var[:n], lambda i: c)
+    refuse_lost_pivots(squares[n:], var[n:], lambda i: (a, c))
+
+
 def _check_disjoint(a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> None:
     """Raise LabelOverlap if any two of the label sets A, B, C share a label."""
     overlap = (set(a) & set(b)) | (set(a) & set(c)) | (set(b) & set(c))
@@ -154,18 +178,11 @@ def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
 
 def pivot_log2det(rows: np.ndarray, a: list, c: list) -> float:
     """log2 det Cov(A | C) for the rows (C, A) of a root, labelled c then a:
-    the summed log2 of A's squared pivots.  One of A's at or below EIG_TOL
-    times its variance (its row's squared norm) raises SingularCovariance, and
-    so does one of C's at or below eps times it: C is then singular to working
-    precision, and the QR would condition on a direction round-off chose."""
+    the summed log2 of A's squared pivots, after refuse_pivots, with each
+    row's variance its squared norm."""
     squares = squared_pivots(rows)
-    var = np.sum(rows.real ** 2 + rows.imag ** 2, axis=1)
-    n, pairs = len(c), list(zip(squares.tolist(), var.tolist()))  # few pivots: plain floats
-    if any(s <= _EPS * v for s, v in pairs[:n]):
-        raise SingularCovariance(f"cov of {c} is singular to working precision")
-    if any(s <= EIG_TOL * v for s, v in pairs[n:]):
-        refuse_lost_pivots(squares[n:], var[n:], lambda i: (a, c))
-    return sum(math.log2(s) for s, _ in pairs[n:])
+    refuse_pivots(squares, np.sum(rows.real ** 2 + rows.imag ** 2, axis=1), a, c)
+    return sum(math.log2(s) for s in squares[len(c):].tolist())
 
 
 def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:

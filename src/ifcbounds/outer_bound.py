@@ -40,7 +40,9 @@ its round-off allowance, 1e-9 bits plus 2 s^2 eps (1 + 2 / lambda) sum_b
 tr(M_b) / (lambda ln 2) over the value's blocks M_b, with lambda =
 lambda_min(Sigma)).
 The orderings of a subset of three or more users are solved in order of
-their starting value, each passed the least value reported before it; a
+their starting value, each passed the least value reported before it (each
+start is built once, to order the solves, and handed to its kra_term_min
+call through ``_built_starts``); a
 solve whose LB clears that value by more than the allowance stops, and the
 ordering is neither ranked nor re-scored.  Such an ordering would have
 reported more than the least value, so it could neither win nor tie, and
@@ -51,8 +53,9 @@ A key reduction used throughout: conditioning on the inputs outside S makes
 a term depend only on the |S| x |S| subchannel H[pi, pi] and the matching
 block of the noise correlation, so every search runs in the reduced space and
 the witness is embedded back at the end.  Both reference routes read QR
-pivots of a square root: ETW's of the genie law's (``build_joint``), KRA's,
-and ``certify``'s KRA re-check (``_bound_at_coupling``), of the reduced law's.
+pivots of a square root: ETW's of the genie law's (``build_joint``), in two
+batched calls per term, KRA's, and ``certify``'s KRA re-check
+(``_bound_at_coupling``), of the reduced law's.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ from .gaussian_info import (
     RHO_CAP,
     GenieSpec,
     build_joint,
-    pivot_log2det,
     refuse_lost_pivots,
+    refuse_pivots,
+    refuse_singular_pivots,
     square_root,
     squared_pivots,
 )
@@ -320,8 +324,7 @@ def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm)
         roots[b, :n, :n] = root[s:s + n, s:s + n]
         roots[b, n:, n:s] = np.eye(s - n)
         roots[b, :n, s:s + tail.shape[1]] = tail
-    R = np.linalg.qr(roots.conj().transpose(0, 2, 1), mode="r")
-    log2dets = 2.0 * np.sum(np.log2(np.abs(np.diagonal(R, axis1=1, axis2=2))), axis=1)
+    log2dets = np.sum(np.log2(squared_pivots(roots)), axis=1)
     return float(np.repeat([1.0, -1.0], s) @ log2dets)
 
 
@@ -353,8 +356,7 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
                 + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm])
     pivots = squares[0::2]
     refuse_lost_pivots(pivots, var[0::2], lambda k: ([f"Y{perm[k]}"], given(k)))
-    for k in np.flatnonzero(squares[1::2] <= _EPS * var[1::2])[:1]:
-        raise SingularCovariance(f"cov of {given(int(k) + 1)} is singular to working precision")
+    refuse_singular_pivots(squares[1::2], var[1::2], lambda k: given(k + 1))
     total = 0.0  # a plain loop: a term has few summands, and it beats three array passes
     for k, v in enumerate((np.log2(pivots) - 2.0 * np.log2(np.diagonal(root)[s:].real)).tolist()):
         if v <= -1e-9:
@@ -480,16 +482,17 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
     return lb, allowance
 
 
-def _factored_min_sigma(sigma0: np.ndarray, grams,
+def _factored_min_sigma(start: np.ndarray, grams,
                         prune_above: Optional[float] = None) -> Optional[np.ndarray]:
-    """End point of BFGS over the factored coupling Sigma = U U^H from sigma0.
+    """End point of BFGS over the factored coupling Sigma = U U^H from start,
+    a coupling whose smallest eigenvalue is at least EIG_FLOOR (_floor_eig).
 
     With prune_above, the solve is ended at the first iterate whose
     _kra_lower_bound clears prune_above by more than its allowance, and the
     result is None: no point of the elliptope scores at or below prune_above.
     """
-    s = sigma0.shape[0]
-    V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
+    s = start.shape[0]
+    V = np.linalg.cholesky(start)
     x0 = np.concatenate([V.real.ravel(), V.imag.ravel()])
     if prune_above is None:
         res = minimize(lambda x: _factored_value_grad(x, grams), x0)
@@ -520,11 +523,20 @@ def _first_scored(ranked: Sequence, score: Callable):
         return _first_scored(rest, score)
 
 
-def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[_TermBlocks, List[np.ndarray]]:
-    """The blocks of t's telescoped value and its candidates before a solve:
-    the identity, then the pair coupling (|S| = 2) or the recursion warm
-    start if it is PSD (|S| >= 3; exact for a constructed channel).  The last
-    candidate is where a BFGS solve starts."""
+class _KraStart(NamedTuple):
+    """A term's telescoped blocks and its candidates before a solve: the
+    identity, then the pair coupling (|S| = 2) or the recursion warm start
+    if it is PSD (|S| >= 3; exact for a constructed channel).  On three or
+    more users ``start`` is where BFGS starts, the last candidate blended to
+    EIG_FLOOR; else None."""
+
+    grams: _TermBlocks
+    candidates: List[np.ndarray]
+    start: Optional[np.ndarray]
+
+
+def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
+    """t's blocks, candidates and BFGS start (_KraStart)."""
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
     candidates = [np.eye(s, dtype=complex)]
@@ -537,7 +549,19 @@ def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[_TermBlocks, List[np.nd
         warm = invert_coupling_recursion(Hr)
         if warm is not None:
             candidates.append(warm)
-    return _term_grams(Hr), candidates
+    start = _floor_eig(candidates[-1], EIG_FLOOR) if s >= 3 else None
+    return _KraStart(_term_grams(Hr), candidates, start)
+
+
+#: starts _kra_orderings built to order a subset's solves, by (channel
+#: entries, term), each taken by its term's kra_term_min call
+_built_starts: Dict[Tuple[bytes, BoundTerm], _KraStart] = {}
+
+#: the most orderings of one subset whose starts are held for their solves:
+#: 6! = 720, about 8 MB, covers every subset of a full region.  The 5040 and
+#: 40320 orderings of sum-rate-only K = 7 and 8 would hold about 88 MB and
+#: 1 GB, so their solves rebuild their starts.
+_BUILT_STARTS_MAX = math.factorial(FULL_REGION_MAX_K)
 
 
 def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None
@@ -569,11 +593,13 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] =
     ranked or re-scored.  The value this call would otherwise report is the
     entropy chain at a point of the elliptope, so it is above prune_above:
     a pruned ordering cannot win or tie.  Without prune_above, and for
-    |S| <= 2, the result is never None.
+    |S| <= 2, the result is never None.  A start _kra_orderings built for t
+    on this channel is taken from _built_starts rather than built again.
     """
-    grams, candidates = _kra_start(ch, t)
+    start = _built_starts.pop((ch.entries.tobytes(), t), None) or _kra_start(ch, t)
+    grams, candidates = start.grams, list(start.candidates)
     if t.size >= 3:
-        end = _factored_min_sigma(candidates[-1], grams, prune_above)
+        end = _factored_min_sigma(start.start, grams, prune_above)
         if end is None:
             return None
         candidates.append(_floor_eig(end, EIG_FLOOR))
@@ -668,7 +694,12 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     the second entropy is exactly log2(pi e (1 - |rho|^2)).  Both are computed
     and checked against each other, which pins the root's assembly, up to the
     pivot's QR error of eps times its row's norm: 32 eps sqrt(Var G_m / (1 -
-    |rho|^2)) bits.
+    |rho|^2)) bits.  Every summand's rows (G_m, Y_k) are stacked into one
+    squared_pivots call and its rows (X_1..X_K, Y_k, G_m) into another, so a
+    term takes two batched QR calls whatever its size, each pivot bit for bit
+    that of its own block's call.  The summands are then read in order, each
+    under pivot_log2det's refusals (refuse_pivots) and the check above, so the
+    first summand at fault raises, as summand-by-summand reads would.
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
@@ -676,16 +707,20 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
               for k, m, r in zip(t.subset, t.perm, rhos)]
     root = build_joint(ch, None, genies).root  # refuses users beyond K
     K = ch.K
+    pairs = [[2 * K + a, K + k - 1] for a, k in enumerate(t.subset)]
+    chains = [[*range(K), y, g] for g, y in pairs]
+    firsts, seconds = squared_pivots(root[pairs]), squared_pivots(root[chains])
+    var = np.sum(root.real ** 2 + root.imag ** 2, axis=1)
     all_x = [f"X{i}" for i in range(1, K + 1)]
     total = 0.0
     for a, (k, m, r) in enumerate(zip(t.subset, t.perm, rhos)):
-        y, g = K + k - 1, 2 * K + a
-        first = LOG2PIE + pivot_log2det(root[[g, y]], [f"Y{k}"], [f"G{m}"])
-        second = LOG2PIE + pivot_log2det(root[list(range(K)) + [y, g]], [f"G{m}"],
-                                         all_x + [f"Y{k}"])
+        refuse_pivots(firsts[a], var[pairs[a]], [f"Y{k}"], [f"G{m}"])
+        refuse_pivots(seconds[a], var[chains[a]], [f"G{m}"], all_x + [f"Y{k}"])
+        first = LOG2PIE + math.log2(firsts[a, 1])
+        second = LOG2PIE + math.log2(seconds[a, K + 1])
         residual = 1.0 - abs(r) ** 2
         closed = LOG2PIE + math.log2(residual)
-        if abs(second - closed) > 32.0 * _EPS * math.sqrt(_norm2(root[g]) / residual):
+        if abs(second - closed) > 32.0 * _EPS * math.sqrt(var[2 * K + a] / residual):
             raise InternalConsistencyError(
                 f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
         total += first - second
@@ -723,18 +758,26 @@ def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
     starting value (stably), and each is passed the least value reported
     before it, so that a loser is pruned once its lower bound clears it.
     """
-    def start_value(perm):  # the telescoped value where the BFGS solve starts
-        grams, candidates = _kra_start(ch, BoundTerm(subset, perm))
-        return _lean_kra_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), grams)[0]
     if len(subset) >= 3:
-        perms = sorted(perms, key=start_value)
+        entries, held = ch.entries.tobytes(), len(perms) <= _BUILT_STARTS_MAX
+        values = {}
+        for perm in perms:  # the telescoped value where the BFGS solve starts
+            t = BoundTerm(subset, perm)
+            start = _kra_start(ch, t)
+            values[perm] = _lean_kra_value_grad(start.start, start.grams)[0]
+            if held:
+                _built_starts[entries, t] = start
+        perms = sorted(perms, key=values.__getitem__)
     scored: Dict[Tuple[int, ...], tuple] = {}
     best = None
-    for perm in perms:
-        res = kra_term_min(ch, BoundTerm(subset, perm), best)
-        if res is not None:
-            scored[perm] = res
-            best = res[0] if best is None else min(best, res[0])
+    try:
+        for perm in perms:
+            res = kra_term_min(ch, BoundTerm(subset, perm), best)
+            if res is not None:
+                scored[perm] = res
+                best = res[0] if best is None else min(best, res[0])
+    finally:
+        _built_starts.clear()  # a call that raised, or was stood in for, leaves its start
     return scored
 
 

@@ -4,6 +4,7 @@ Everything takes an explicit numpy Generator so individual tests stay
 reproducible under pytest -p no:randomly and friends.
 """
 
+import math
 import sys
 from decimal import Decimal, localcontext
 from itertools import combinations
@@ -11,8 +12,8 @@ from itertools import combinations
 import numpy as np
 
 import ifcbounds as ifc
-from ifcbounds.errors import SingularCovariance
-from ifcbounds.gaussian_info import EIG_TOL
+from ifcbounds.errors import InternalConsistencyError, SingularCovariance
+from ifcbounds.gaussian_info import EIG_TOL, GenieSpec, pivot_log2det
 from ifcbounds.oracle import CorrelationAngles
 
 
@@ -121,6 +122,33 @@ def referee_conditioning(j, a, c):
             f"its variance ({np.min(pivots / var):.3e} of it), lost to round-off")
     logdet = 2.0 * float(np.sum(np.log2(np.diagonal(L)[n:].real)))
     return logdet, np.linalg.solve(L[:n, :n].T, L[n:, :n].T).T
+
+
+def etw_term_by_summand(ch, t, rhos):
+    """The genie term read summand by summand, each entropy by its own
+    pivot_log2det call: h(Y_k | G_m) off the rows (G_m, Y_k) and h(G_m | X, Y_k)
+    off (X_1..X_K, Y_k, G_m), the latter held to log2(pi e (1 - |rho|^2))
+    within 32 eps sqrt(Var G_m / (1 - |rho|^2)).  The route etw_term_value
+    batches, with its refusals and texts."""
+    genies = [GenieSpec(target=m, rho=complex(r), paired_with=k)
+              for k, m, r in zip(t.subset, t.perm, rhos)]
+    root = ifc.build_joint(ch, None, genies).root
+    K = ch.K
+    all_x = [f"X{i}" for i in range(1, K + 1)]
+    total = 0.0
+    for a, (k, m, r) in enumerate(zip(t.subset, t.perm, rhos)):
+        y, g = K + k - 1, 2 * K + a
+        first = ifc.LOG2PIE + pivot_log2det(root[[g, y]], [f"Y{k}"], [f"G{m}"])
+        second = ifc.LOG2PIE + pivot_log2det(root[list(range(K)) + [y, g]], [f"G{m}"],
+                                             all_x + [f"Y{k}"])
+        residual = 1.0 - abs(r) ** 2
+        closed = ifc.LOG2PIE + math.log2(residual)
+        norm2 = float(np.sum(root[g].real ** 2 + root[g].imag ** 2))
+        if abs(second - closed) > 32.0 * np.finfo(float).eps * math.sqrt(norm2 / residual):
+            raise InternalConsistencyError(
+                f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
+        total += first - second
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import ifcbounds as ifc
 from ifcbounds.errors import (
     IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
     SingularCovariance)
-from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP
+from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP, squared_pivots
 from ifcbounds.model import make_joint
 
 from support import (
@@ -482,6 +482,19 @@ def test_a_singular_conditioning_set_is_refused_in_every_order():
         with pytest.raises(SingularCovariance, match=re.escape(f"cov of {c} is singular")):
             ifc.conditional_entropy(j, ["X1"], c)
     assert abs(ifc.conditional_entropy(j, ["X1"], ["Y1", "X2"]) - (LOG2PIE - 1.0)) < 1e-15
+
+
+def test_stacked_squared_pivots_are_each_blocks_own():
+    # one batched QR factors each block as its own call does, bit for bit,
+    # whatever the stack's shape, the blocks' sizes and the rows' scales
+    rng = np.random.default_rng(2303)
+    for shape in ((5, 2, 7), (4, 6, 6), (3, 7, 11), (2, 3, 4, 9), (6, 1, 3)):
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows *= 10.0 ** rng.uniform(-4.0, 4.0, shape[:-1] + (1,))
+        stacked = squared_pivots(rows)
+        assert stacked.shape == shape[:-1]
+        for idx in np.ndindex(*shape[:-2]):
+            assert np.array_equal(stacked[idx], squared_pivots(np.array(rows[idx]))), (shape, idx)
 
 
 def test_each_law_answers_with_its_own_label_order():

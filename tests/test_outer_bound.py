@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,11 @@ from ifcbounds.construct import invert_coupling_recursion
 from ifcbounds.errors import (
     IndexOutOfRange,
     InternalConsistencyError,
+    SingularCovariance,
     TooLarge,
     ValidationError,
 )
-from ifcbounds.gaussian_info import RHO_CAP, build_joint
+from ifcbounds.gaussian_info import RHO_CAP, GenieSpec, build_joint, pivot_log2det
 from ifcbounds.model import make_joint
 from ifcbounds.oracle import CorrelationAngles
 from ifcbounds.outer_bound import (
@@ -34,6 +37,7 @@ from ifcbounds.outer_bound import (
 )
 
 from support import (
+    etw_term_by_summand,
     random_channel,
     random_upper_triangular_channel,
     random_z_channel,
@@ -313,7 +317,8 @@ def test_floored_end_point_is_accepted_near_the_boundary():
     Hr = _reduced_channel(ch, t)
     grams = _term_grams(Hr)
     warm = invert_coupling_recursion(Hr)
-    end = _factored_min_sigma(np.eye(4, dtype=complex) if warm is None else warm, grams)
+    end = _factored_min_sigma(_floor_eig(np.eye(4, dtype=complex) if warm is None else warm,
+                                         EIG_FLOOR), grams)
     sig = _floor_eig(end, EIG_FLOOR)
     assert np.linalg.eigvalsh(sig)[0] == pytest.approx(EIG_FLOOR, rel=1e-6)
     noise = _embed_sigma(sig, t, 4)
@@ -618,6 +623,51 @@ def test_genie_residual_check_holds_at_large_cross_gains():
         for t in ifc.enumerate_terms(K):
             assert np.isfinite(ifc.etw_term_min(ch, t)[0])
             ifc.etw_term_value(ch, t, [0.9 * np.exp(1j * k) for k in range(t.size)])
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_etw_term_value_is_the_summand_by_summand_route_bit_for_bit(K):
+    # two batched QR calls per term give each summand's pivots as its own
+    # pivot_log2det calls do, so every value is the same float
+    rng = np.random.default_rng(3100 + K)
+    for scale in (0.5, 2.0, 30.0):
+        ch = random_channel(rng, K, scale)
+        for t in ifc.enumerate_terms(K):
+            for rhos in ((0j,) * t.size, ifc.etw_term_min(ch, t)[1],
+                         tuple(0.9 * np.exp(1j * k) for k in range(t.size))):
+                assert ifc.etw_term_value(ch, t, rhos) == etw_term_by_summand(ch, t, rhos), \
+                    (scale, t, rhos)
+
+
+#: a tiny direct gain under a large cross gain (the CI "Huge gains" spec)
+OVERFLOW3 = [[1, 1e10, 0], [0, 1e-300, 0], [0, 0, 1]]
+
+
+def test_etw_refusal_names_the_first_summand_at_fault():
+    ch = ifc.validate_channel(np.array(OVERFLOW3))
+    zeros = (0j,) * 3
+    # both summands 1 and 2 of this term lose a pivot; summand 1's text wins
+    t = ifc.BoundTerm((1, 2, 3), (2, 1, 3))
+    root = build_joint(ch, None, [GenieSpec(m, 0j, k) for k, m in zip(t.subset, t.perm)]).root
+    with pytest.raises(SingularCovariance, match=r"cov of \['G1'\] given \['X1', 'X2', 'X3', "
+                                                 r"'Y2'\] has a pivot within EIG_TOL"):
+        pivot_log2det(root[[0, 1, 2, 4, 7]], ["G1"], ["X1", "X2", "X3", "Y2"])
+    with pytest.raises(SingularCovariance) as got:
+        ifc.etw_term_value(ch, t, zeros)
+    assert str(got.value) == "cov of ['X1', 'X2', 'X3', 'Y1'] is singular to working precision"
+    # every term refuses as the summand-by-summand route does, text for text
+    for t in ifc.enumerate_terms(3):
+        texts = []
+        for route in (ifc.etw_term_value, etw_term_by_summand):
+            try:
+                texts.append(repr(route(ch, t, zeros[:t.size])))
+            except SingularCovariance as exc:
+                texts.append(str(exc))
+        assert texts[0] == texts[1], t
+    # and the first refusal region meets is the one the CLI prints
+    with pytest.raises(SingularCovariance, match=re.escape(
+            "cov of ['Y1'] given ['G1'] has a pivot within EIG_TOL")):
+        ifc.region(ch, families="etw")
 
 
 def test_etw_referee_matches_the_closed_form():
