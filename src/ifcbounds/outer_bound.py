@@ -40,9 +40,7 @@ its round-off allowance, 1e-9 bits plus 2 s^2 eps (1 + 2 / lambda) sum_b
 tr(M_b) / (lambda ln 2) over the value's blocks M_b, with lambda =
 lambda_min(Sigma)).
 The orderings of a subset of three or more users are solved in order of
-their starting value, each passed the least value reported before it (each
-start is built once, to order the solves, and handed to its kra_term_min
-call through ``_built_starts``); a
+their starting value, each passed the least value reported before it; a
 solve whose LB clears that value by more than the allowance stops, and the
 ordering is neither ranked nor re-scored.  Such an ordering would have
 reported more than the least value, so it could neither win nor tie, and
@@ -482,17 +480,16 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
     return lb, allowance
 
 
-def _factored_min_sigma(start: np.ndarray, grams,
+def _factored_min_sigma(sigma0: np.ndarray, grams,
                         prune_above: Optional[float] = None) -> Optional[np.ndarray]:
-    """End point of BFGS over the factored coupling Sigma = U U^H from start,
-    a coupling whose smallest eigenvalue is at least EIG_FLOOR (_floor_eig).
+    """End point of BFGS over the factored coupling Sigma = U U^H from sigma0.
 
     With prune_above, the solve is ended at the first iterate whose
     _kra_lower_bound clears prune_above by more than its allowance, and the
     result is None: no point of the elliptope scores at or below prune_above.
     """
-    s = start.shape[0]
-    V = np.linalg.cholesky(start)
+    s = sigma0.shape[0]
+    V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
     x0 = np.concatenate([V.real.ravel(), V.imag.ravel()])
     if prune_above is None:
         res = minimize(lambda x: _factored_value_grad(x, grams), x0)
@@ -523,20 +520,11 @@ def _first_scored(ranked: Sequence, score: Callable):
         return _first_scored(rest, score)
 
 
-class _KraStart(NamedTuple):
-    """A term's telescoped blocks and its candidates before a solve: the
-    identity, then the pair coupling (|S| = 2) or the recursion warm start
-    if it is PSD (|S| >= 3; exact for a constructed channel).  On three or
-    more users ``start`` is where BFGS starts, the last candidate blended to
-    EIG_FLOOR; else None."""
-
-    grams: _TermBlocks
-    candidates: List[np.ndarray]
-    start: Optional[np.ndarray]
-
-
-def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
-    """t's blocks, candidates and BFGS start (_KraStart)."""
+def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[_TermBlocks, List[np.ndarray]]:
+    """The blocks of t's telescoped value and its candidates before a solve:
+    the identity, then the pair coupling (|S| = 2) or the recursion warm
+    start if it is PSD (|S| >= 3; exact for a constructed channel).  The last
+    candidate is where a BFGS solve starts."""
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
     candidates = [np.eye(s, dtype=complex)]
@@ -549,19 +537,7 @@ def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
         warm = invert_coupling_recursion(Hr)
         if warm is not None:
             candidates.append(warm)
-    start = _floor_eig(candidates[-1], EIG_FLOOR) if s >= 3 else None
-    return _KraStart(_term_grams(Hr), candidates, start)
-
-
-#: starts _kra_orderings built to order a subset's solves, by (channel
-#: entries, term), each taken by its term's kra_term_min call
-_built_starts: Dict[Tuple[bytes, BoundTerm], _KraStart] = {}
-
-#: the most orderings of one subset whose starts are held for their solves:
-#: 6! = 720, about 8 MB, covers every subset of a full region.  The 5040 and
-#: 40320 orderings of sum-rate-only K = 7 and 8 would hold about 88 MB and
-#: 1 GB, so their solves rebuild their starts.
-_BUILT_STARTS_MAX = math.factorial(FULL_REGION_MAX_K)
+    return _term_grams(Hr), candidates
 
 
 def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None
@@ -593,13 +569,11 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] =
     ranked or re-scored.  The value this call would otherwise report is the
     entropy chain at a point of the elliptope, so it is above prune_above:
     a pruned ordering cannot win or tie.  Without prune_above, and for
-    |S| <= 2, the result is never None.  A start _kra_orderings built for t
-    on this channel is taken from _built_starts rather than built again.
+    |S| <= 2, the result is never None.
     """
-    start = _built_starts.pop((ch.entries.tobytes(), t), None) or _kra_start(ch, t)
-    grams, candidates = start.grams, list(start.candidates)
+    grams, candidates = _kra_start(ch, t)
     if t.size >= 3:
-        end = _factored_min_sigma(start.start, grams, prune_above)
+        end = _factored_min_sigma(candidates[-1], grams, prune_above)
         if end is None:
             return None
         candidates.append(_floor_eig(end, EIG_FLOOR))
@@ -758,26 +732,18 @@ def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
     starting value (stably), and each is passed the least value reported
     before it, so that a loser is pruned once its lower bound clears it.
     """
+    def start_value(perm):  # the telescoped value where the BFGS solve starts
+        grams, candidates = _kra_start(ch, BoundTerm(subset, perm))
+        return _lean_kra_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), grams)[0]
     if len(subset) >= 3:
-        entries, held = ch.entries.tobytes(), len(perms) <= _BUILT_STARTS_MAX
-        values = {}
-        for perm in perms:  # the telescoped value where the BFGS solve starts
-            t = BoundTerm(subset, perm)
-            start = _kra_start(ch, t)
-            values[perm] = _lean_kra_value_grad(start.start, start.grams)[0]
-            if held:
-                _built_starts[entries, t] = start
-        perms = sorted(perms, key=values.__getitem__)
+        perms = sorted(perms, key=start_value)
     scored: Dict[Tuple[int, ...], tuple] = {}
     best = None
-    try:
-        for perm in perms:
-            res = kra_term_min(ch, BoundTerm(subset, perm), best)
-            if res is not None:
-                scored[perm] = res
-                best = res[0] if best is None else min(best, res[0])
-    finally:
-        _built_starts.clear()  # a call that raised, or was stood in for, leaves its start
+    for perm in perms:
+        res = kra_term_min(ch, BoundTerm(subset, perm), best)
+        if res is not None:
+            scored[perm] = res
+            best = res[0] if best is None else min(best, res[0])
     return scored
 
 

@@ -486,7 +486,9 @@ def test_a_singular_conditioning_set_is_refused_in_every_order():
 
 def test_stacked_squared_pivots_are_each_blocks_own():
     # one batched QR factors each block as its own call does, bit for bit,
-    # whatever the stack's shape, the blocks' sizes and the rows' scales
+    # whatever the stack's shape, the blocks' sizes and the rows' scales; and
+    # without a QR, each pivot is the squared diagonal of the Cholesky factor
+    # of its block's covariance, the row's variance given the rows before it
     rng = np.random.default_rng(2303)
     for shape in ((5, 2, 7), (4, 6, 6), (3, 7, 11), (2, 3, 4, 9), (6, 1, 3)):
         rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -495,6 +497,9 @@ def test_stacked_squared_pivots_are_each_blocks_own():
         assert stacked.shape == shape[:-1]
         for idx in np.ndindex(*shape[:-2]):
             assert np.array_equal(stacked[idx], squared_pivots(np.array(rows[idx]))), (shape, idx)
+        chol = np.linalg.cholesky(rows @ np.swapaxes(rows.conj(), -1, -2))
+        assert np.allclose(stacked, np.abs(np.diagonal(chol, axis1=-2, axis2=-1)) ** 2,
+                           rtol=1e-12, atol=0.0), shape
 
 
 def test_each_law_answers_with_its_own_label_order():

@@ -317,8 +317,7 @@ def test_floored_end_point_is_accepted_near_the_boundary():
     Hr = _reduced_channel(ch, t)
     grams = _term_grams(Hr)
     warm = invert_coupling_recursion(Hr)
-    end = _factored_min_sigma(_floor_eig(np.eye(4, dtype=complex) if warm is None else warm,
-                                         EIG_FLOOR), grams)
+    end = _factored_min_sigma(np.eye(4, dtype=complex) if warm is None else warm, grams)
     sig = _floor_eig(end, EIG_FLOOR)
     assert np.linalg.eigvalsh(sig)[0] == pytest.approx(EIG_FLOOR, rel=1e-6)
     noise = _embed_sigma(sig, t, 4)

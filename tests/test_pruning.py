@@ -125,8 +125,8 @@ def test_lower_bound_is_tight_at_an_interior_minimiser():
     # the end point a little short of the minimiser
     ch = random_channel(np.random.default_rng(94), 3)
     t = ifc.BoundTerm((1, 2, 3), (2, 1, 3))
-    grams, _, start = _kra_start(ch, t)
-    end = outer_bound._factored_min_sigma(start, grams)
+    grams, candidates = _kra_start(ch, t)
+    end = outer_bound._factored_min_sigma(candidates[-1], grams)
     assert np.linalg.eigvalsh(end)[0] > 1e-2
     val, _ = ifc.kra_term_min(ch, t)
     lb, _ = _bound_at(end, grams)
@@ -141,17 +141,3 @@ def test_region_calls_each_term_once_and_rescores_fewer(monkeypatch, K):
     ifc.region(ch)
     assert len(mins) == ifc.count_bounds(K)
     assert len(values) < ifc.count_bounds(K)
-
-
-@pytest.mark.parametrize("K", [3, 4])
-def test_region_builds_each_kra_start_once(monkeypatch, K):
-    # an ordering of three or more users builds its start once, to order the
-    # solves, and its kra_term_min call solves from it: one start and one
-    # blend to EIG_FLOOR per ordering, plus one blend per unpruned end point
-    starts = count_calls(monkeypatch, outer_bound._kra_start)
-    floors = count_calls(monkeypatch, outer_bound._floor_eig)
-    ifc.region(random_channel(np.random.default_rng(80 + K), K), families="kra")
-    assert len(starts) == ifc.count_bounds(K)
-    solved = sum(math.comb(K, s) * math.factorial(s) for s in range(3, K + 1))
-    assert solved < len(floors) <= 2 * solved
-    assert not outer_bound._built_starts
