@@ -14,7 +14,10 @@ S and an ordering pi of S:
   noise and the receiver noise, again minimized.
 
 Every search over a single complex correlation -- each ETW summand and each
-KRA term on a pair of users -- is solved in closed form (``_pair_rho``).  An
+KRA term on a pair of users -- is solved in closed form (``_pair_rho``), and
+its two candidates, the minimizer and zero correlation, are ranked by the
+closed-form objective that ``_pair_rho`` minimizes (``_etw_summand``,
+``_pair_value``); a KRA term on one user has the identity alone.  An
 ETW summand depends only on the pair (k, pi_k), so its closed-form data,
 minimizer and values are kept in one K x K pair table per channel
 (``_etw_pairs``, memoised on the channel's entries for the last channel
@@ -27,9 +30,10 @@ it feasible by construction.  It starts from the coupling recursion's
 inverse (``construct.invert_coupling_recursion``) when that is PSD: on a
 constructed channel it is the exact minimizer.  The BFGS is the module's own
 (``minimize``), a few lines of numpy, so no command that bounds a channel
-loads scipy.  Candidates are ranked by these fast forms and re-scored in
-that order through the reference route (``kra_term_value`` /
-``etw_term_value``) until one is accepted (``_first_scored``).
+loads scipy.  Its candidates are ranked by the telescoped slogdet value.
+Ranked candidates are re-scored in that order through the reference route
+(``kra_term_value`` / ``etw_term_value``) until one is accepted
+(``_first_scored``).
 
 ``region`` reports, per subset and family, only the least value over the
 orderings, so it prunes KRA orderings that cannot reach it.  At any feasible
@@ -39,7 +43,10 @@ diag y)), y_i = Re (G Sigma)_ii (``_kra_lower_bound``, which derives it and
 its round-off allowance, 1e-9 bits plus 2 s^2 eps (1 + 2 / lambda) sum_b
 tr(M_b) / (lambda ln 2) over the value's blocks M_b, with lambda =
 lambda_min(Sigma)).
-The orderings of a subset of three or more users are solved in order of
+``region`` builds each ordering's start once (``_kra_start``: the reduced
+channel, the recursion warm start and the telescoped blocks, whose masks
+and signs are built once per size) and hands it to ``kra_term_min``.  The
+orderings of a subset of three or more users are solved in order of
 their starting value, each passed the least value reported before it; a
 solve whose LB clears that value by more than the allowance stops, and the
 ordering is neither ranked nor re-scored.  Such an ordering would have
@@ -265,11 +272,13 @@ def _embed_sigma(sigma_r: np.ndarray, t: BoundTerm, K: int) -> NoiseCorrelation:
 
 class _TermBlocks(NamedTuple):
     """Block b of the telescoped value is masks[b] * Sigma + shifts[b],
-    entering with sign signs[b]."""
+    entering with sign signs[b]; traces is sum_b tr(M_b) at a unit-diagonal
+    Sigma, the sum in _kra_lower_bound's allowance."""
 
     masks: np.ndarray
     shifts: np.ndarray
     signs: np.ndarray
+    traces: float
 
 
 def _term_tails(Hr: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -281,14 +290,26 @@ def _term_tails(Hr: np.ndarray) -> List[Tuple[int, np.ndarray]]:
             + [(s, np.zeros((s, 0)))])
 
 
+@functools.lru_cache(maxsize=None)
+def _term_masks(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The block masks and signs of every term on s users, read-only: they
+    depend only on s, so they are built once per size."""
+    masks = np.zeros((2 * s, s, s))
+    for b, n in enumerate([*range(1, s + 1), *range(1, s), s]):  # _term_tails' sizes
+        masks[b, :n, :n] = 1.0
+    signs = np.repeat([1.0, -1.0], s)
+    masks.flags.writeable = signs.flags.writeable = False
+    return masks, signs
+
+
 def _term_grams(Hr: np.ndarray) -> _TermBlocks:
     s = Hr.shape[0]
-    masks = np.zeros((2 * s, s, s))
+    masks, signs = _term_masks(s)
     shifts = np.tile(np.eye(s, dtype=complex), (2 * s, 1, 1))
     for b, (n, tail) in enumerate(_term_tails(Hr)):
-        masks[b, :n, :n] = 1.0
         shifts[b, :n, :n] = tail @ tail.conj().T
-    return _TermBlocks(masks, shifts, np.repeat([1.0, -1.0], s))
+    traces = float(np.einsum("bii->", masks + shifts).real)  # diag Sigma = 1
+    return _TermBlocks(masks, shifts, signs, traces)
 
 
 def _lean_kra_value_grad(sigma: np.ndarray,
@@ -323,7 +344,8 @@ def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm)
         roots[b, n:, n:s] = np.eye(s - n)
         roots[b, :n, s:s + tail.shape[1]] = tail
     log2dets = np.sum(np.log2(squared_pivots(roots)), axis=1)
-    return float(np.repeat([1.0, -1.0], s) @ log2dets)
+    _, signs = _term_masks(s)
+    return float(signs @ log2dets)
 
 
 def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
@@ -475,8 +497,7 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
     lb = value + s * min(0.0, float(low))
     if lam <= 0.0:
         return lb, np.inf
-    traces = float(np.einsum("bii->", grams.masks + grams.shifts).real)  # diag Sigma = 1
-    allowance = 1e-9 + 2.0 * s * s * _EPS * (1.0 + 2.0 / lam) * traces / (lam * _LN2)
+    allowance = 1e-9 + 2.0 * s * s * _EPS * (1.0 + 2.0 / lam) * grams.traces / (lam * _LN2)
     return lb, allowance
 
 
@@ -520,40 +541,70 @@ def _first_scored(ranked: Sequence, score: Callable):
         return _first_scored(rest, score)
 
 
-def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[_TermBlocks, List[np.ndarray]]:
-    """The blocks of t's telescoped value and its candidates before a solve:
-    the identity, then the pair coupling (|S| = 2) or the recursion warm
-    start if it is PSD (|S| >= 3; exact for a constructed channel).  The last
-    candidate is where a BFGS solve starts."""
+class _KraStart(NamedTuple):
+    """What a term's minimization starts from: the blocks of its telescoped
+    value (None on one or two users, which rank without them) and its
+    candidates before a solve."""
+
+    grams: Optional[_TermBlocks]
+    candidates: Tuple[np.ndarray, ...]
+
+
+def _pair_value(rho: complex, a0: complex, a1: complex) -> float:
+    """The objective _pair_rho minimizes for a pair term, log2 det(Sigma +
+    a a^H) - log2 det Sigma with Sigma's off-diagonal entry rho and a =
+    Hr[:, 1], in closed form: det(Sigma + a a^H) = (1 - |rho|^2)(1 + |a1|^2)
+    + |a0 - rho a1|^2 is a sum of nonnegative terms, so none cancels."""
+    den = 1.0 - abs(rho) ** 2
+    return math.log2(den * (1.0 + abs(a1) ** 2) + abs(a0 - rho * a1) ** 2) - math.log2(den)
+
+
+def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
+    """t's start, built from its reduced channel.  A singleton's one
+    candidate is the identity.  A pair's are the identity and the pair
+    coupling, ranked by _pair_value (the identity first on a tie), with no
+    blocks.  On three or more users they are the identity, then the
+    recursion warm start if it is PSD (exact for a constructed channel), and
+    the last is where the BFGS solve starts."""
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
-    candidates = [np.eye(s, dtype=complex)]
+    eye = np.eye(s, dtype=complex)
+    if s == 1:
+        return _KraStart(None, (eye,))
     if s == 2:
         tail = Hr[:, 1:]
         A = tail @ tail.conj().T
         rho = _pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
-        candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
-    elif s >= 3:
-        warm = invert_coupling_recursion(Hr)
-        if warm is not None:
-            candidates.append(warm)
-    return _term_grams(Hr), candidates
+        pair = np.array([[1.0, rho], [rho.conjugate(), 1.0]])
+        a0, a1 = complex(Hr[0, 1]), complex(Hr[1, 1])
+        better = _pair_value(rho, a0, a1) < _pair_value(0j, a0, a1)
+        return _KraStart(None, (pair, eye) if better else (eye, pair))
+    warm = invert_coupling_recursion(Hr)
+    return _KraStart(_term_grams(Hr), (eye,) if warm is None else (eye, warm))
 
 
-def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None
+def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None,
+                 *, start: Optional[_KraStart] = None
                  ) -> Optional[Tuple[float, NoiseCorrelation]]:
     """Minimize the correlated-noise term over the noise correlation.
 
     Pairs (|S| = 2) are solved in closed form: the only free entry rho of
     Sigma enters as log2 det(Sigma + A_2) - log2 det(Sigma), which is the
-    _pair_rho objective with b = A_00 + A_11 (A has rank one) and c = A_01.  For
-    |S| >= 3 the value is convex in Sigma (Diggavi & Cover 2001), so one BFGS
-    start suffices: it runs over Sigma = U U^H, U = diag(1 / |v_i|) V with V a
-    free complex matrix, from the recursion warm start if that is PSD, else
-    from the identity, and its end point is blended toward the identity to
-    the smallest eigenvalue EIG_FLOOR.  That, the identity, the pair coupling
-    and the PSD warm start are ranked by the telescoped value (stably, so the
-    identity wins ties) and re-scored through kra_term_value by _first_scored.
+    _pair_rho objective with b = A_00 + A_11 (A has rank one) and c = A_01;
+    the pair coupling and the identity are ranked by that objective
+    (_pair_value), the identity first on a tie.  A singleton has the
+    identity alone.  For |S| >= 3 the value is convex in Sigma (Diggavi &
+    Cover 2001), so one BFGS start suffices: it runs over Sigma = U U^H, U =
+    diag(1 / |v_i|) V with V a free complex matrix, from the recursion warm
+    start if that is PSD, else from the identity, and its end point is
+    blended toward the identity to the smallest eigenvalue EIG_FLOOR.  That,
+    the identity and the PSD warm start are ranked by the telescoped value
+    (stably, so the identity wins ties).  The ranked candidates are
+    re-scored through kra_term_value by _first_scored.
+
+    ``start`` is t's _kra_start, which _kra_orderings builds once per
+    ordering and hands over; without it the call builds its own, with the
+    same result.
 
     ``prune_above`` is a value already reported for another ordering of S.
     With it, a |S| >= 3 solve computes at each accepted iterate Sigma the
@@ -571,13 +622,13 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] =
     a pruned ordering cannot win or tie.  Without prune_above, and for
     |S| <= 2, the result is never None.
     """
-    grams, candidates = _kra_start(ch, t)
+    grams, candidates = _kra_start(ch, t) if start is None else start
     if t.size >= 3:
         end = _factored_min_sigma(candidates[-1], grams, prune_above)
         if end is None:
             return None
-        candidates.append(_floor_eig(end, EIG_FLOOR))
-    candidates.sort(key=lambda sig: _lean_kra_value_grad(sig, grams)[0])
+        candidates = sorted([*candidates, _floor_eig(end, EIG_FLOOR)],
+                            key=lambda sig: _lean_kra_value_grad(sig, grams)[0])
 
     def score(sig):
         noise = _embed_sigma(sig, t, ch.K)
@@ -728,19 +779,23 @@ def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
                    perms: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], tuple]:
     """kra_term_min of every ordering of subset that is not pruned, by ordering.
 
-    On three or more users, the orderings are solved in order of their
-    starting value (stably), and each is passed the least value reported
-    before it, so that a loser is pruned once its lower bound clears it.
+    Each ordering's start (_kra_start) is built once, here, and handed to
+    its kra_term_min call.  On three or more users, the orderings are solved
+    in order of their starting value (stably), and each is passed the least
+    value reported before it, so that a loser is pruned once its lower bound
+    clears it.
     """
+    starts = {perm: _kra_start(ch, BoundTerm(subset, perm)) for perm in perms}
+
     def start_value(perm):  # the telescoped value where the BFGS solve starts
-        grams, candidates = _kra_start(ch, BoundTerm(subset, perm))
+        grams, candidates = starts[perm]
         return _lean_kra_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), grams)[0]
     if len(subset) >= 3:
         perms = sorted(perms, key=start_value)
     scored: Dict[Tuple[int, ...], tuple] = {}
     best = None
     for perm in perms:
-        res = kra_term_min(ch, BoundTerm(subset, perm), best)
+        res = kra_term_min(ch, BoundTerm(subset, perm), best, start=starts.pop(perm))
         if res is not None:
             scored[perm] = res
             best = res[0] if best is None else min(best, res[0])

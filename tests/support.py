@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 
 import ifcbounds as ifc
+from ifcbounds import outer_bound
 from ifcbounds.errors import InternalConsistencyError, SingularCovariance
 from ifcbounds.gaussian_info import EIG_TOL, GenieSpec, pivot_log2det
 from ifcbounds.oracle import CorrelationAngles
@@ -273,6 +274,29 @@ def referee_kra_term(ch, noise, t):
                  - sum(ld(k - 1, range(k - 1, s)) for k in range(2, s + 1))
                  - ld(s, ()))
         return float(total / Decimal(2).ln())
+
+
+def slogdet_ranked_pair_min(ch, t):
+    """kra_term_min on a term of one or two users with its candidates ranked
+    by the telescoped slogdet value instead of the closed form: the
+    identity, then the _pair_rho coupling on two users, sorted stably (so
+    the identity wins ties) and re-scored through kra_term_value by
+    _first_scored."""
+    Hr = outer_bound._reduced_channel(ch, t)
+    s = Hr.shape[0]
+    candidates = [np.eye(s, dtype=complex)]
+    if s == 2:
+        tail = Hr[:, 1:]
+        A = tail @ tail.conj().T
+        rho = outer_bound._pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
+        candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
+    grams = outer_bound._term_grams(Hr)
+    candidates.sort(key=lambda sig: outer_bound._lean_kra_value_grad(sig, grams)[0])
+
+    def score(sig):
+        noise = outer_bound._embed_sigma(sig, t, ch.K)
+        return outer_bound.kra_term_value(ch, noise, t), noise
+    return outer_bound._first_scored(candidates, score)
 
 
 def referee_etw_term(ch, t, rhos):

@@ -30,7 +30,9 @@ from ifcbounds.outer_bound import (
     _factored_value_grad,
     _floor_eig,
     _lean_kra_value_grad,
+    _kra_start,
     _norm2,
+    _pair_value,
     _reduced_channel,
     _term_grams,
     _unit_rows,
@@ -44,6 +46,7 @@ from support import (
     referee_etw_term,
     referee_kra_term,
     sample_interior_sigma,
+    slogdet_ranked_pair_min,
 )
 
 
@@ -490,6 +493,50 @@ def test_pair_minimizers_clamp_to_cap_when_cauchy_schwarz_is_tight():
     assert abs(rhos[0]) == pytest.approx(RHO_CAP, abs=1e-15) and rhos[1] == 0
     _, noise = ifc.kra_term_min(ch, TIGHT_TERM)
     assert abs(noise.sigma[0, 1]) == pytest.approx(RHO_CAP, abs=1e-15)
+
+
+def _pair_rank_check(monkeypatch, ch, t):
+    """kra_term_min on a term of one or two users, ranked in closed form
+    with no slogdet block built, against the slogdet ranking: the same value
+    and witness bytes, unless the pair coupling and the identity tie in
+    closed form to within round-off, where either may come first and the
+    re-scored values agree to 1e-14 bits.  True when the results differ."""
+    def forbidden(*args):
+        raise AssertionError("slogdet blocks built for a term on one or two users")
+
+    with monkeypatch.context() as m:
+        m.setattr(outer_bound, "_term_grams", forbidden)
+        m.setattr(outer_bound, "_lean_kra_value_grad", forbidden)
+        ours = ifc.kra_term_min(ch, t)
+    ref = slogdet_ranked_pair_min(ch, t)
+    if (ours[0], ours[1].sigma.tobytes()) == (ref[0], ref[1].sigma.tobytes()):
+        return False
+    assert t.size == 2, t
+    Hr = _reduced_channel(ch, t)
+    a0, a1 = complex(Hr[0, 1]), complex(Hr[1, 1])
+    rho = complex(sum(c[0, 1] for c in _kra_start(ch, t).candidates))  # the identity adds 0
+    assert abs(_pair_value(0j, a0, a1) - _pair_value(rho, a0, a1)) <= 1e-14, (t, rho)
+    assert abs(ours[0] - ref[0]) <= 1e-14, (t, ours[0], ref[0])
+    return True
+
+
+@pytest.mark.parametrize("exponent", range(-12, 4))
+def test_pair_ranking_in_closed_form_matches_the_slogdet_ranking(monkeypatch, exponent):
+    moved = 0
+    for seed in range(20):
+        H = random_channel(np.random.default_rng(seed), 3).entries.copy()
+        H[~np.eye(3, dtype=bool)] *= 10.0 ** exponent
+        ch = ifc.validate_channel(H)
+        moved += sum(_pair_rank_check(monkeypatch, ch, t)
+                     for t in ifc.enumerate_terms(3) if t.size <= 2)
+    # results move only where the coupling gains about an ulp over the
+    # identity, which takes cross gains near 1e-8: below that both rankings
+    # tie, so the identity comes first; above it both put the coupling first
+    assert moved == 0 or exponent in (-8, -7)
+
+
+def test_pair_ranking_in_closed_form_where_the_cap_binds(monkeypatch):
+    assert not _pair_rank_check(monkeypatch, ifc.validate_channel(TIGHT), TIGHT_TERM)
 
 
 def test_pair_searches_make_no_optimizer_call(monkeypatch):

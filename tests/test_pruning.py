@@ -4,7 +4,8 @@
 and stops a solve once ``_kra_lower_bound`` shows that the ordering cannot
 reach the least value reported before it.  These tests hold that the bound
 is a lower bound, that it is tight at an interior minimiser, and that pruning
-changes no byte of any report.
+changes no byte of any report, nor does the start ``region`` builds once per
+ordering and hands to ``kra_term_min``.
 """
 
 import json
@@ -32,10 +33,10 @@ def _unpruned(monkeypatch):
     and term, since they do not depend on the families asked for."""
     real, memo = outer_bound.kra_term_min, {}
 
-    def solve_all(ch, t, prune_above=None):
+    def solve_all(ch, t, prune_above=None, **kwargs):  # forwards region's start
         key = (ch.entries.tobytes(), t)
         if key not in memo:
-            memo[key] = real(ch, t, math.inf)
+            memo[key] = real(ch, t, math.inf, **kwargs)
         return memo[key]
     monkeypatch.setattr(outer_bound, "kra_term_min", solve_all)
 
@@ -140,4 +141,32 @@ def test_region_calls_each_term_once_and_rescores_fewer(monkeypatch, K):
     values = count_calls(monkeypatch, outer_bound.kra_term_value)
     ifc.region(ch)
     assert len(mins) == ifc.count_bounds(K)
+    # the benchmark's tracer reads the term off the second positional argument
+    assert all(isinstance(args[1], ifc.BoundTerm) for args in mins)
     assert len(values) < ifc.count_bounds(K)
+
+
+def _result_bytes(res):
+    return None if res is None else (res[0], res[1].sigma.tobytes())
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_a_handed_start_changes_no_result(K):
+    # region builds each ordering's start once and hands it to kra_term_min;
+    # the same call building its own start must give the same bytes, with
+    # no pruning, with +inf and with the least value of the subset
+    ch = random_channel(np.random.default_rng(90 + K), K, 2.0)
+    by_subset, pruned = {}, 0
+    for t in ifc.enumerate_terms(K):
+        by_subset.setdefault(t.subset, []).append(t)
+    for subset, terms in by_subset.items():
+        built = {t: ifc.kra_term_min(ch, t) for t in terms}
+        least = min(res[0] for res in built.values())
+        for prune_above in (None, math.inf, least):
+            for t in terms:
+                if prune_above is not None:
+                    built[t] = ifc.kra_term_min(ch, t, prune_above)
+                handed = ifc.kra_term_min(ch, t, prune_above, start=_kra_start(ch, t))
+                assert _result_bytes(handed) == _result_bytes(built[t]), (t, prune_above)
+                pruned += handed is None
+    assert pruned > 0  # the finite value stops some solves
