@@ -30,29 +30,32 @@ it feasible by construction.  It starts from the coupling recursion's
 inverse (``construct.invert_coupling_recursion``) when that is PSD: on a
 constructed channel it is the exact minimizer.  The BFGS is the module's own
 (``minimize``), a few lines of numpy, so no command that bounds a channel
-loads scipy.  Its candidates are ranked by the telescoped slogdet value.
-Ranked candidates are re-scored in that order through the reference route
-(``kra_term_value`` / ``etw_term_value``) until one is accepted
-(``_first_scored``).
+loads scipy.  Solve, ranking and pruning read one objective, the entropy
+chain that ``kra_term_value`` reports, off one batched Cholesky factor of
+the chain rows' covariances (``_chain_value_grad``).  Ranked candidates are
+re-scored in that order through the reference route (``kra_term_value`` /
+``etw_term_value``) until one is accepted (``_first_scored``).
 
 ``region`` reports, per subset and family, only the least value over the
 orderings, so it prunes KRA orderings that cannot reach it.  At any feasible
 Sigma with value f and Sigma-gradient G, convexity and the elliptope's SDP
 dual bound the term's minimum below by LB = f + s min(0, lambda_min(G -
 diag y)), y_i = Re (G Sigma)_ii (``_kra_lower_bound``, which derives it and
-its round-off allowance, 1e-9 bits plus 2 s^2 eps (1 + 2 / lambda) sum_b
-tr(M_b) / (lambda ln 2) over the value's blocks M_b, with lambda =
-lambda_min(Sigma)).
-``region`` builds each ordering's start once (``_kra_start``: the reduced
-channel, the recursion warm start and the telescoped blocks, whose masks
-and signs are built once per size) and hands it to ``kra_term_min``.  The
+its round-off allowance, 1e-9 bits plus 4 s n^2 (n + 1) eps (1 + 2 /
+lambda) (5 + 4 |Hr|_F^2) / (lambda ln 2) from the Cholesky factor's backward
+error, with n = 2 s - 1 and lambda = lambda_min(Sigma)).
+``region`` builds each ordering's start once (``_kra_start``: the
+recursion warm start and the chain rows' covariances at Sigma = 0, with and
+without H, of the reduced channel) and hands it to ``kra_term_min``.  The
 orderings of a subset of three or more users are solved in order of
 their starting value, each passed the least value reported before it; a
 solve whose LB clears that value by more than the allowance stops, and the
 ordering is neither ranked nor re-scored.  Such an ordering would have
 reported more than the least value, so it could neither win nor tie, and
 the winner is the least value, the lexicographically first ordering on a
-tie: the output does not depend on the order in which orderings are solved.
+tie: the reported values do not depend on the order in which orderings are
+solved.  The refusal raised when every candidate of an ordering is refused
+is the first such ordering's in that fixed order, so it does depend on it.
 
 A key reduction used throughout: conditioning on the inputs outside S makes
 a term depend only on the |S| x |S| subchannel H[pi, pi] and the matching
@@ -257,95 +260,73 @@ def _embed_sigma(sigma_r: np.ndarray, t: BoundTerm, K: int) -> NoiseCorrelation:
 
 
 # ---------------------------------------------------------------------------
-# fast evaluation of the correlated-noise term
-#
-# With users relabeled so pi is the natural order, the term telescopes into
-# log-dets of leading blocks of Sigma shifted by fixed Gram matrices:
-#
-#   value(Sigma) = sum_k [ ld|Sigma_k + A_k| - ld|Sigma_{k-1} + B_k| ] - ld|Sigma|
-#
-# where A_k = Hr[:k, k-1:] Hr[:k, k-1:]^H and B_k drops the last row of that
-# slice.  The pi*e factors of the entropies cancel exactly.  Every block is
-# padded to s x s with the identity, which changes neither its log-det nor
-# the leading block of its inverse, so one batched call factors all of them.
+# the correlated-noise term as one entropy chain (derived in kra_term_value),
+# read off a QR factor of its rows' root or a Cholesky factor of their
+# covariance
 
 
-class _TermBlocks(NamedTuple):
-    """Block b of the telescoped value is masks[b] * Sigma + shifts[b],
-    entering with sign signs[b]; traces is sum_b tr(M_b) at a unit-diagonal
-    Sigma, the sum in _kra_lower_bound's allowance."""
-
-    masks: np.ndarray
-    shifts: np.ndarray
-    signs: np.ndarray
-    traces: float
+def _chain_order(s: int) -> List[int]:
+    """The chain rows (Y_1, X_1, ..., X_{s-1}, Y_s) as indices of a reduced
+    root's rows X_1..X_s, Y_1..Y_s: Y_k at position 2 (k - 1), X_k at 2 k - 1."""
+    return [i for k in range(s) for i in (s + k, k)][:-1]
 
 
-def _term_tails(Hr: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-    """(block size n, Gram factor T) of each telescoped block Sigma_n + T T^H:
-    the terms A_k, then B_k, then Sigma itself (T empty)."""
+def _chain_covariances(Hr: np.ndarray) -> np.ndarray:
+    """The chain rows' covariance at Sigma = 0, stacked with that of the same
+    rows with H removed, shape (2, 2s - 1, 2s - 1); at Sigma both add Sigma
+    on the Y positions 0, 2, ..., 2s - 2."""
     s = Hr.shape[0]
-    return ([(k, Hr[:k, k - 1:]) for k in range(1, s + 1)]
-            + [(k - 1, Hr[:k - 1, k - 1:]) for k in range(2, s + 1)]
-            + [(s, np.zeros((s, 0)))])
+    rows = np.vstack([np.eye(s), Hr])[_chain_order(s)]
+    chain = np.zeros((2, 2 * s - 1, 2 * s - 1), dtype=complex)
+    chain[0] = rows @ rows.conj().T
+    chain[1, 1::2, 1::2] = np.eye(s - 1)  # the inputs alone
+    return chain
 
 
-@functools.lru_cache(maxsize=None)
-def _term_masks(s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The block masks and signs of every term on s users, read-only: they
-    depend only on s, so they are built once per size."""
-    masks = np.zeros((2 * s, s, s))
-    for b, n in enumerate([*range(1, s + 1), *range(1, s), s]):  # _term_tails' sizes
-        masks[b, :n, :n] = 1.0
-    signs = np.repeat([1.0, -1.0], s)
-    masks.flags.writeable = signs.flags.writeable = False
-    return masks, signs
-
-
-def _term_grams(Hr: np.ndarray) -> _TermBlocks:
-    s = Hr.shape[0]
-    masks, signs = _term_masks(s)
-    shifts = np.tile(np.eye(s, dtype=complex), (2 * s, 1, 1))
-    for b, (n, tail) in enumerate(_term_tails(Hr)):
-        shifts[b, :n, :n] = tail @ tail.conj().T
-    traces = float(np.einsum("bii->", masks + shifts).real)  # diag Sigma = 1
-    return _TermBlocks(masks, shifts, signs, traces)
-
-
-def _lean_kra_value_grad(sigma: np.ndarray,
-                         grams: _TermBlocks) -> Tuple[float, Optional[np.ndarray]]:
-    """Telescoped value (bits) and its gradient G in one pass over the blocks.
-
-    G = [sum_k pad((Sigma_k + A_k)^-1) - sum_k pad((Sigma_{k-1} + B_k)^-1)
-    - Sigma^-1] / ln 2 is Hermitian, with d value = Re tr(G dSigma).  Off the
-    positive definite cone the value is inf and G is None.
-    """
-    mats = grams.masks * sigma + grams.shifts
-    sign, logdet = np.linalg.slogdet(mats)
-    if np.any(sign.real <= 0.0):
+def _chain_value_grad(sigma: np.ndarray,
+                      chain: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    """The term at sigma (bits) and its Sigma-gradient G, d value = Re tr(G
+    dSigma), off one batched Cholesky factor C = L L^H of both
+    _chain_covariances at sigma: the log2 of the chain's squared Y pivots
+    L_ii^2 less the noise chain's.  A chain's sum of ln L_ii^2 over its Y
+    positions i is sum_i [ln det C_<=i - ln det C_<i], and C_<=i^-1 =
+    M_<=i^H M_<=i with M = L^-1 lower triangular, so its C-gradient is
+    sum_i m_i^H m_i over M's Y rows m_i.  Sigma enters on the Y positions, so
+    G = (P^H P for the chain - P^H P for the noise chain) / ln 2, P the Y
+    rows and Y columns of M.  Off the positive definite cone the value is
+    inf and G is None."""
+    mats = chain.copy()
+    mats[:, ::2, ::2] += sigma
+    try:
+        L = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
         return np.inf, None
-    grad = np.einsum("b,bij->ij", grams.signs, grams.masks * np.linalg.inv(mats))
-    return float(grams.signs @ logdet) / _LN2, grad / _LN2
+    pivots = np.diagonal(L, axis1=1, axis2=2)[:, ::2].real
+    P = np.linalg.inv(L)[:, ::2, ::2]
+    G = np.swapaxes(P.conj(), 1, 2) @ P
+    return 2.0 * float(np.log2(pivots[0] / pivots[1]).sum()), (G[0] - G[1]) / _LN2
 
 
 def _bound_at_coupling(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
-    """Term t at ``noise`` by the telescoped form the solver ranks by, each
-    block Sigma_n + T T^H of the reduced law read off a QR factor of its root
-    [L_n | T], L L^H = Sigma[pi, pi], padded to |S| rows with unit rows so one
-    batched QR serves every block: certify's re-check of kra_term_value.  It
-    errs as eps times the gains, not their squares; a singular coupling raises
-    SingularCovariance, as square_root does."""
+    """Term t at ``noise`` by its telescoped form, sum_k [ld|Sigma_k + A_k| -
+    ld|Sigma_{k-1} + B_k|] - ld|Sigma| with A_k = T T^H, T = Hr[:k, k-1:], and
+    B_k without T's last row, each block read off a QR factor of its root
+    [L_n | T], L L^H = Sigma[pi, pi], padded with unit rows so one batched QR
+    serves all: certify's re-check of kra_term_value, on another layout.  It
+    errs as eps times the gains, not their squares; a singular coupling
+    raises SingularCovariance, as square_root does."""
     s = t.size
     root = square_root(ch, noise, t.perm)
-    tails = _term_tails(root[s:, :s])
-    roots = np.zeros((len(tails), s, 2 * s), dtype=complex)
+    Hr = root[s:, :s]
+    tails = ([(k, Hr[:k, k - 1:]) for k in range(1, s + 1)]
+             + [(k - 1, Hr[:k - 1, k - 1:]) for k in range(2, s + 1)] + [(s, Hr[:, :0])])
+    roots = np.zeros((2 * s, s, 2 * s), dtype=complex)
     for b, (n, tail) in enumerate(tails):
         roots[b, :n, :n] = root[s:s + n, s:s + n]
         roots[b, n:, n:s] = np.eye(s - n)
         roots[b, :n, s:s + tail.shape[1]] = tail
     log2dets = np.sum(np.log2(squared_pivots(roots)), axis=1)
-    _, signs = _term_masks(s)
-    return float(signs @ log2dets)
+    return float(np.repeat([1.0, -1.0], s) @ log2dets)
 
 
 def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> float:
@@ -367,7 +348,7 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
         raise ValidationError(f"term {t} references users beyond K={ch.K}")
     perm, s = t.perm, t.size
     root = square_root(ch, noise, perm)  # refuses a coupling of another size
-    rows = root[[i for k in range(s) for i in (s + k, k)][:-1]]
+    rows = root[_chain_order(s)]
     squares = squared_pivots(rows)
     var = np.sum(rows.real ** 2 + rows.imag ** 2, axis=1)
 
@@ -434,19 +415,19 @@ def _unit_rows(x: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
     return V / norms[:, None], norms
 
 
-def _factored_value_grad(x: np.ndarray, grams, seen: Optional[list] = None
+def _factored_value_grad(x: np.ndarray, chain: np.ndarray, seen: Optional[list] = None
                          ) -> Tuple[float, np.ndarray]:
-    """Telescoped value at Sigma = U U^H and its gradient in x = (Re V, Im V).
+    """The term at Sigma = U U^H and its gradient in x = (Re V, Im V).
 
     With W = G U, row i of the V-gradient is 2 (w_i - Re<u_i, w_i> u_i) / |v_i|:
     the Sigma-gradient pulled back through U, projected off the row direction
     that the normalization discards.  ``seen``, if given, is set to
     [Sigma, value, G] at x when the value is finite.
     """
-    s = grams.masks.shape[1]
+    s = (chain.shape[1] + 1) // 2
     U, norms = _unit_rows(x, s)
     sigma = U @ U.conj().T
-    val, G = _lean_kra_value_grad(sigma, grams)
+    val, G = _chain_value_grad(sigma, chain)
     if G is None:
         return val, np.zeros_like(x)
     if seen is not None:
@@ -458,10 +439,10 @@ def _factored_value_grad(x: np.ndarray, grams, seen: Optional[list] = None
 
 
 def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
-                     grams: _TermBlocks) -> Tuple[float, float]:
+                     chain: np.ndarray) -> Tuple[float, float]:
     """(LB, allowance) in bits: a lower bound on the term's minimum over the
     elliptope {Sigma' >= 0, diag Sigma' = 1}, from the value and the
-    Sigma-gradient G of _lean_kra_value_grad at a feasible sigma, and the
+    Sigma-gradient G of _chain_value_grad at a feasible sigma, and the
     round-off the computed LB may carry past the exact one.
 
     The term f is convex in Sigma (Diggavi & Cover 2001), so f(Sigma') >=
@@ -472,21 +453,30 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
 
         min f >= LB = f(Sigma) + s min(0, lambda_min(G - diag y)).
 
-    The allowance bounds what round-off moves.  Each block M_b of the value
-    is factored backward stably, as M_b + dM_b with |dM_b| <= s eps |M_b|, so
-    its log-det moves by at most s |M_b^-1| |dM_b| = s^2 eps kappa_b, and its
-    inverse, hence G, by s eps kappa_b |M_b^-1|; a change E of G moves the
-    linear bound by at most 2 s |E|, since |tr(E P)| <= |E| tr P for P >= 0
-    and tr(Sigma + Sigma') = 2 s.  M_b is Sigma_n, padded with the identity,
-    plus a PSD Gram, so |M_b^-1| <= 1 / lambda with lambda = lambda_min(Sigma)
-    <= 1 (interlacing), and kappa_b <= tr(M_b) / lambda.  The eigenvalue's own
-    error, eps s |G|, is below the inverse's term; doubling covers it.  A
-    reported value is the entropy chain at a candidate, within 1e-12 bits of
-    its 50-digit referee (tests/test_reported_values.py), not the slogdet
-    form at it; 1e-9 bits covers that.  In bits, with the sum over the 2 s
-    blocks:
+    The allowance bounds what round-off moves.  Each chain covariance C, of
+    order n = 2 s - 1, is factored as C + dC with |dC| <= gamma_{n+1} |L| |L^H|
+    (Higham 2002, thm 10.3), and |L_i| |L_j| <= (C_ii C_jj)^(1/2), so dC =
+    D E D with D = diag(C_ii)^(1/2) and |E| <= n (n + 1) eps; forming C and
+    inverting L add as much again, 2 n (n + 1) eps in all.  Y's pivots and
+    Y's rows of C_<=i^-1 depend on C_<=i only through the Schur complement
+    of its X rows, M_b = C_YY - C_YX C_XY, as the inputs are white (C_XX =
+    I): Cov(Y | X) of the block, Sigma_k + A_k or Sigma_{k-1} + B_k (or
+    Sigma_k on the noise chain), so |M_b^-1| <= 1 / lambda with lambda =
+    lambda_min(Sigma) <= 1 (interlacing).  dM_b = W dC W^H with W = [I,
+    -C_YX], and |W D| <= (1 + h^2)^(1/2) + h with h^2 = |Hr|_F^2, so
+    |dM_b| <= 8 n (n + 1) eps (1 + h^2) on the chain and 2 n (n + 1) eps on
+    the noise chain.  Each of the 2 n blocks' log-dets moves by at most
+    s |dM_b| / lambda and its inverse, hence G, by |dM_b| / lambda^2; a
+    change E of G moves the linear bound by at most 2 s |E|, since
+    |tr(E P)| <= |E| tr P for P >= 0 and tr(Sigma + Sigma') = 2 s.  The
+    eigenvalue's own error, eps s |G|, is below the inverse's term; doubling
+    covers it and the second order.  A reported value is kra_term_value's QR
+    read of the chain at a candidate, within 1e-12 bits of its 50-digit
+    referee (tests/test_reported_values.py), not this Cholesky read; 1e-9
+    bits covers that.  In bits:
 
-        allowance = 1e-9 + 2 s^2 eps (1 + 2 / lambda) sum_b tr(M_b) / (lambda ln 2).
+        allowance = 1e-9 + 4 s n^2 (n + 1) eps (1 + 2 / lambda) (5 + 4 h^2)
+                    / (lambda ln 2).
 
     Off the positive definite cone (lambda <= 0 after round-off) the
     allowance is inf: the bound says nothing there.
@@ -497,30 +487,36 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
     lb = value + s * min(0.0, float(low))
     if lam <= 0.0:
         return lb, np.inf
-    allowance = 1e-9 + 2.0 * s * s * _EPS * (1.0 + 2.0 / lam) * grams.traces / (lam * _LN2)
+    n, h2 = 2 * s - 1, float(chain[0].trace().real) - (s - 1)  # |Hr|_F^2: X rows add s - 1
+    allowance = (1e-9 + 4.0 * s * n * n * (n + 1) * _EPS * (1.0 + 2.0 / lam)
+                 * (5.0 + 4.0 * h2) / (lam * _LN2))
     return lb, allowance
 
 
-def _factored_min_sigma(sigma0: np.ndarray, grams,
+def _factored_min_sigma(sigma0: np.ndarray, chain: np.ndarray,
                         prune_above: Optional[float] = None) -> Optional[np.ndarray]:
     """End point of BFGS over the factored coupling Sigma = U U^H from sigma0.
 
     With prune_above, the solve is ended at the first iterate whose
     _kra_lower_bound clears prune_above by more than its allowance, and the
     result is None: no point of the elliptope scores at or below prune_above.
+    An iterate whose value is at most prune_above cannot clear it (LB <= f),
+    so its bound is not computed.
     """
     s = sigma0.shape[0]
     V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
     x0 = np.concatenate([V.real.ravel(), V.imag.ravel()])
     if prune_above is None:
-        res = minimize(lambda x: _factored_value_grad(x, grams), x0)
+        res = minimize(lambda x: _factored_value_grad(x, chain), x0)
     else:
         seen: list = []
 
         def cleared() -> bool:
-            lb, allowance = _kra_lower_bound(*seen, grams)
+            if seen[1] <= prune_above:
+                return False
+            lb, allowance = _kra_lower_bound(*seen, chain)
             return lb - prune_above > allowance
-        res = minimize(lambda x: _factored_value_grad(x, grams, seen), x0, cleared)
+        res = minimize(lambda x: _factored_value_grad(x, chain, seen), x0, cleared)
         if res.stopped:
             return None
     U, _ = _unit_rows(res.x, s)
@@ -542,11 +538,11 @@ def _first_scored(ranked: Sequence, score: Callable):
 
 
 class _KraStart(NamedTuple):
-    """What a term's minimization starts from: the blocks of its telescoped
-    value (None on one or two users, which rank without them) and its
-    candidates before a solve."""
+    """What a term's minimization starts from: its _chain_covariances (None
+    on one or two users, which rank without them) and its candidates before
+    a solve."""
 
-    grams: Optional[_TermBlocks]
+    chain: Optional[np.ndarray]
     candidates: Tuple[np.ndarray, ...]
 
 
@@ -563,7 +559,7 @@ def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
     """t's start, built from its reduced channel.  A singleton's one
     candidate is the identity.  A pair's are the identity and the pair
     coupling, ranked by _pair_value (the identity first on a tie), with no
-    blocks.  On three or more users they are the identity, then the
+    chain covariances.  On three or more users they are the identity, then the
     recursion warm start if it is PSD (exact for a constructed channel), and
     the last is where the BFGS solve starts."""
     Hr = _reduced_channel(ch, t)
@@ -580,7 +576,7 @@ def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
         better = _pair_value(rho, a0, a1) < _pair_value(0j, a0, a1)
         return _KraStart(None, (pair, eye) if better else (eye, pair))
     warm = invert_coupling_recursion(Hr)
-    return _KraStart(_term_grams(Hr), (eye,) if warm is None else (eye, warm))
+    return _KraStart(_chain_covariances(Hr), (eye,) if warm is None else (eye, warm))
 
 
 def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None,
@@ -597,38 +593,33 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] =
     Cover 2001), so one BFGS start suffices: it runs over Sigma = U U^H, U =
     diag(1 / |v_i|) V with V a free complex matrix, from the recursion warm
     start if that is PSD, else from the identity, and its end point is
-    blended toward the identity to the smallest eigenvalue EIG_FLOOR.  That,
-    the identity and the PSD warm start are ranked by the telescoped value
-    (stably, so the identity wins ties).  The ranked candidates are
-    re-scored through kra_term_value by _first_scored.
+    blended toward the identity to the smallest eigenvalue EIG_FLOOR.  Solve
+    and ranking read one objective, the entropy chain that kra_term_value
+    reports, off a Cholesky factor (_chain_value_grad).  The end point, the
+    identity and the PSD warm start are ranked by its value (stably, so the
+    identity wins ties), and re-scored through kra_term_value by
+    _first_scored.
 
     ``start`` is t's _kra_start, which _kra_orderings builds once per
     ordering and hands over; without it the call builds its own, with the
     same result.
 
     ``prune_above`` is a value already reported for another ordering of S.
-    With it, a |S| >= 3 solve computes at each accepted iterate Sigma the
-    lower bound LB = f(Sigma) + s min(0, lambda_min(G - diag y)) on the term's
-    minimum, with y_i = Re (G Sigma)_ii and G the Sigma-gradient of the
-    telescoped value f: convexity gives f(Sigma') >= f(Sigma) + Re tr(G
-    (Sigma' - Sigma)), and on the elliptope Re tr(G Sigma') >= sum y_i +
-    s lambda_min(G - diag y), with sum y_i = Re tr(G Sigma).  Once LB exceeds
-    prune_above by more than its round-off allowance (the log-dets and
-    inverses of the blocks M_b err as eps times their condition numbers,
-    at most tr(M_b) / lambda_min(Sigma); _kra_lower_bound derives it), the
-    term is pruned: the solve ends and None is returned, with no candidate
-    ranked or re-scored.  The value this call would otherwise report is the
-    entropy chain at a point of the elliptope, so it is above prune_above:
-    a pruned ordering cannot win or tie.  Without prune_above, and for
-    |S| <= 2, the result is never None.
+    With it, a |S| >= 3 solve ends at the first accepted iterate whose
+    _kra_lower_bound on the term's minimum exceeds prune_above by more than
+    its round-off allowance, and None is returned, with no candidate ranked
+    or re-scored.  The value this call would otherwise report is the entropy
+    chain at a point of the elliptope, so it is above prune_above: a pruned
+    ordering cannot win or tie.  Without prune_above, and for |S| <= 2, the
+    result is never None.
     """
-    grams, candidates = _kra_start(ch, t) if start is None else start
+    chain, candidates = _kra_start(ch, t) if start is None else start
     if t.size >= 3:
-        end = _factored_min_sigma(candidates[-1], grams, prune_above)
+        end = _factored_min_sigma(candidates[-1], chain, prune_above)
         if end is None:
             return None
         candidates = sorted([*candidates, _floor_eig(end, EIG_FLOOR)],
-                            key=lambda sig: _lean_kra_value_grad(sig, grams)[0])
+                            key=lambda sig: _chain_value_grad(sig, chain)[0])
 
     def score(sig):
         noise = _embed_sigma(sig, t, ch.K)
@@ -787,9 +778,9 @@ def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
     """
     starts = {perm: _kra_start(ch, BoundTerm(subset, perm)) for perm in perms}
 
-    def start_value(perm):  # the telescoped value where the BFGS solve starts
-        grams, candidates = starts[perm]
-        return _lean_kra_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), grams)[0]
+    def start_value(perm):  # the chain's value where the BFGS solve starts
+        chain, candidates = starts[perm]
+        return _chain_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), chain)[0]
     if len(subset) >= 3:
         perms = sorted(perms, key=start_value)
     scored: Dict[Tuple[int, ...], tuple] = {}
@@ -819,8 +810,12 @@ def region(ch: ChannelMatrix, *, families: Union[str, Sequence[str]] = FAMILIES,
     pruned (kra_term_min's prune_above) once its lower bound clears the least
     value reported before it by more than a round-off allowance: that
     ordering would have reported more, so it could neither win nor tie, and
-    the report does not depend on the order in which orderings are solved.
-    kra_term_min is still called once per (subset, ordering).
+    the reported values do not depend on the order in which orderings are
+    solved.  kra_term_min is still called once per (subset, ordering).
+    When every candidate of a term is refused, region raises the refusal of
+    the first such term in solve order (subsets as above, families as given,
+    orderings lexicographic on one or two users and by starting value on
+    more): deterministic, but unlike the values, dependent on that order.
     """
     names = families.split(",") if isinstance(families, str) else families
     fams = tuple(dict.fromkeys(n.strip().upper() for n in names if n.strip()))

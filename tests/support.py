@@ -276,12 +276,27 @@ def referee_kra_term(ch, noise, t):
         return float(total / Decimal(2).ln())
 
 
+def slogdet_kra_term(Hr, sigma):
+    """KRA term (bits) of the reduced channel Hr at the reduced coupling sigma,
+    telescoped into slogdets of the blocks' covariances, with no Cholesky or
+    QR factor: sum_k [ld(Sigma_k + A_k) - ld(Sigma_{k-1} + B_k)] - ld(Sigma),
+    A_k = T T^H for T = Hr[:k, k-1:] and B_k the same without its last row.
+    A referee of the factored forms at moderate gains; it squares the gains,
+    so it errs as eps g^2 / lambda_min(Sigma)."""
+    s = Hr.shape[0]
+
+    def ld(n, T):
+        return np.linalg.slogdet(sigma[:n, :n] + T @ T.conj().T)[1] if n else 0.0
+    lds = ([ld(k, Hr[:k, k - 1:]) for k in range(1, s + 1)]
+           + [ld(k - 1, Hr[:k - 1, k - 1:]) for k in range(2, s + 1)] + [ld(s, Hr[:, :0])])
+    return float(np.repeat([1.0, -1.0], s) @ np.array(lds)) / math.log(2.0)
+
+
 def slogdet_ranked_pair_min(ch, t):
     """kra_term_min on a term of one or two users with its candidates ranked
-    by the telescoped slogdet value instead of the closed form: the
-    identity, then the _pair_rho coupling on two users, sorted stably (so
-    the identity wins ties) and re-scored through kra_term_value by
-    _first_scored."""
+    by slogdet_kra_term instead of the closed form: the identity, then the
+    _pair_rho coupling on two users, sorted stably (so the identity wins
+    ties) and re-scored through kra_term_value by _first_scored."""
     Hr = outer_bound._reduced_channel(ch, t)
     s = Hr.shape[0]
     candidates = [np.eye(s, dtype=complex)]
@@ -290,8 +305,7 @@ def slogdet_ranked_pair_min(ch, t):
         A = tail @ tail.conj().T
         rho = outer_bound._pair_rho(A[0, 0].real + A[1, 1].real, complex(A[0, 1]))
         candidates.append(np.array([[1.0, rho], [rho.conjugate(), 1.0]]))
-    grams = outer_bound._term_grams(Hr)
-    candidates.sort(key=lambda sig: outer_bound._lean_kra_value_grad(sig, grams)[0])
+    candidates.sort(key=lambda sig: slogdet_kra_term(Hr, sig))
 
     def score(sig):
         noise = outer_bound._embed_sigma(sig, t, ch.K)

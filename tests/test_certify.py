@@ -27,6 +27,7 @@ from support import (
     random_z_channel,
     referee_kra_term,
     sample_interior_sigma,
+    slogdet_kra_term,
 )
 
 
@@ -489,9 +490,8 @@ def test_bound_at_the_recovered_coupling_is_read_off_square_roots():
             want = referee_kra_term(ch, sig, t)
             got = outer_bound._bound_at_coupling(ch, sig, t)
             idx = [p - 1 for p in t.perm]
-            lean = outer_bound._lean_kra_value_grad(sig.sigma[np.ix_(idx, idx)],
-                                                    outer_bound._term_grams(
-                                                        outer_bound._reduced_channel(ch, t)))[0]
+            lean = slogdet_kra_term(outer_bound._reduced_channel(ch, t),
+                                    sig.sigma[np.ix_(idx, idx)])
             assert abs(got - want) <= 1e-13 * max(1.0, want), t
             assert abs(got - lean) <= 1e-12 * max(1.0, want), t
 

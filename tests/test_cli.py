@@ -415,6 +415,21 @@ def test_closed_form_rho_ends_at_huge_gains(tmp_path, argv, H):
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
 
 
+@pytest.mark.parametrize("cmd, err", [
+    ("evaluate", "error: cov of ['Y1'] given ['G1'] has a pivot within EIG_TOL = 1e-12 times "
+                 "its variance (3.000e-20 of it), lost to round-off\n"),
+    ("certify", "error: cov of ['X1', 'X2', 'Y1', 'Y2'] is singular to working precision\n"),
+])
+def test_overflow_refusal_texts(tmp_path, capsys, cmd, err):
+    # CI's "Huge gains" step greps these texts.  region raises the refusal
+    # of the first term whose candidates are all refused, in its solve order:
+    # an ETW term's for the full region, and for certify's sum-rate-only
+    # region the third KRA ordering of the full set, (1, 2, 3), after two
+    # that score
+    spec = spec_file(tmp_path, "overflow3.json", [[1, 1e10, 0], [0, 1e-300, 0], [0, 0, 1]])
+    assert run(capsys, [cmd, spec]) == (2, "", err)
+
+
 #: every g = 10^k up to 1e20, then a coarse tail to the float limit; past
 #: about 8e76 the output power overflows and the gains are refused at input
 SWEEP_GAINS = [10.0 ** k for k in range(21)] + [

@@ -22,6 +22,8 @@ from ifcbounds.outer_bound import (
     BFGS_GTOL,
     BFGS_MAXITER,
     EIG_FLOOR,
+    _chain_covariances,
+    _chain_value_grad,
     _embed_sigma,
     _etw_closed_form,
     _etw_summand,
@@ -29,12 +31,10 @@ from ifcbounds.outer_bound import (
     _factored_min_sigma,
     _factored_value_grad,
     _floor_eig,
-    _lean_kra_value_grad,
     _kra_start,
     _norm2,
     _pair_value,
     _reduced_channel,
-    _term_grams,
     _unit_rows,
 )
 
@@ -46,6 +46,7 @@ from support import (
     referee_etw_term,
     referee_kra_term,
     sample_interior_sigma,
+    slogdet_kra_term,
     slogdet_ranked_pair_min,
 )
 
@@ -127,6 +128,10 @@ def test_term_value_matches_entropy_identity_oracle():
 
 
 def test_lean_matches_generic_on_random_terms():
+    # the solver's objective, the chain read off a Cholesky factor of its
+    # rows' covariance, against the reported chain, read off a QR factor of
+    # its rows, and against the telescoped slogdet referee, which factors
+    # neither: both within 1.7e-13 bits on these draws
     rng = np.random.default_rng(22)
     for _ in range(20):
         K = int(rng.integers(2, 5))
@@ -138,12 +143,13 @@ def test_lean_matches_generic_on_random_terms():
         t = ifc.BoundTerm(subset, tuple(perm))
         sig_r = sample_interior_sigma(rng, size).sigma
         Hr = _reduced_channel(ch, t)
-        lean = _lean_kra_value_grad(sig_r, _term_grams(Hr))[0]
+        lean = _chain_value_grad(sig_r, _chain_covariances(Hr))[0]
         full = np.eye(K, dtype=complex)
         pos = [p - 1 for p in t.perm]
         full[np.ix_(pos, pos)] = sig_r
         generic = ifc.kra_term_value(ch, ifc.validate_noise_correlation(full), t)
-        assert abs(lean - generic) < 1e-9
+        assert abs(lean - generic) < 5e-13, t
+        assert abs(lean - slogdet_kra_term(Hr, sig_r)) < 5e-13, t
 
 
 def test_conditioning_removes_complement_interference():
@@ -199,23 +205,23 @@ def test_min_no_worse_than_generating_coupling():
 def test_lean_kra_value_is_midpoint_convex(seed, s):
     # convexity in Sigma is what makes a local solver's end point the minimum
     rng = np.random.default_rng(seed)
-    grams = _term_grams(random_channel(rng, s).entries)
+    chain = _chain_covariances(random_channel(rng, s).entries)
     s0 = sample_interior_sigma(rng, s).sigma
     s1 = sample_interior_sigma(rng, s).sigma
-    mean = (_lean_kra_value_grad(s0, grams)[0] + _lean_kra_value_grad(s1, grams)[0]) / 2
-    assert _lean_kra_value_grad((s0 + s1) / 2, grams)[0] <= mean + 1e-9
+    mean = (_chain_value_grad(s0, chain)[0] + _chain_value_grad(s1, chain)[0]) / 2
+    assert _chain_value_grad((s0 + s1) / 2, chain)[0] <= mean + 1e-9
 
 
 @pytest.mark.parametrize("s", [3, 4])
 def test_factored_gradient_matches_central_differences(s):
     rng = np.random.default_rng(50 + s)
-    grams = _term_grams(random_channel(rng, s).entries)
+    chain = _chain_covariances(random_channel(rng, s).entries)
     h = 1e-6
     for _ in range(3):
         x = rng.normal(size=2 * s * s)
-        _, grad = _factored_value_grad(x, grams)
-        fd = np.array([(_factored_value_grad(x + h * e, grams)[0]
-                        - _factored_value_grad(x - h * e, grams)[0]) / (2 * h)
+        _, grad = _factored_value_grad(x, chain)
+        fd = np.array([(_factored_value_grad(x + h * e, chain)[0]
+                        - _factored_value_grad(x - h * e, chain)[0]) / (2 * h)
                        for e in np.eye(x.size)])
         assert np.max(np.abs(grad - fd)) < 1e-6 * (1.0 + np.max(np.abs(grad)))
 
@@ -301,9 +307,9 @@ def test_four_user_terms_are_minima():
         val, wit = ifc.kra_term_min(ch, t)
         assert ifc.kra_term_value(ch, wit, t) == val  # witness re-scores exactly
         assert val <= ifc.kra_term_value(ch, ifc.identity_noise(4), t) + 1e-9
-        # samples stand for couplings in pi order: the lean value is the term
-        grams = _term_grams(_reduced_channel(ch, t))
-        assert val <= min(_lean_kra_value_grad(sig, grams)[0] for sig in samples) + 1e-9
+        # samples stand for couplings in pi order: the chain's value is the term
+        chain = _chain_covariances(_reduced_channel(ch, t))
+        assert val <= min(_chain_value_grad(sig, chain)[0] for sig in samples) + 1e-9
         # no descent along segments toward random interior couplings
         for _ in range(20):
             toward = sample_interior_sigma(rng, 4).sigma
@@ -318,14 +324,14 @@ def test_floored_end_point_is_accepted_near_the_boundary():
     ch = random_channel(np.random.default_rng(60), 4)
     t = ifc.BoundTerm((1, 2, 3, 4), (1, 4, 2, 3))
     Hr = _reduced_channel(ch, t)
-    grams = _term_grams(Hr)
+    chain = _chain_covariances(Hr)
     warm = invert_coupling_recursion(Hr)
-    end = _factored_min_sigma(np.eye(4, dtype=complex) if warm is None else warm, grams)
+    end = _factored_min_sigma(np.eye(4, dtype=complex) if warm is None else warm, chain)
     sig = _floor_eig(end, EIG_FLOOR)
     assert np.linalg.eigvalsh(sig)[0] == pytest.approx(EIG_FLOOR, rel=1e-6)
     noise = _embed_sigma(sig, t, 4)
     val = ifc.kra_term_value(ch, noise, t)
-    assert abs(val - _lean_kra_value_grad(sig, grams)[0]) < 1e-9
+    assert abs(val - _chain_value_grad(sig, chain)[0]) < 1e-9
     assert abs(val - referee_kra_term(ch, noise, t)) < CERT_TOL
 
 
@@ -446,9 +452,9 @@ def _scan_min(fun, n=48):
 
 
 def _pair_kra_scan(ch, t):
-    grams = _term_grams(_reduced_channel(ch, t))
-    return _scan_min(lambda rho: _lean_kra_value_grad(
-        np.array([[1.0, rho], [np.conj(rho), 1.0]]), grams)[0])
+    chain = _chain_covariances(_reduced_channel(ch, t))
+    return _scan_min(lambda rho: _chain_value_grad(
+        np.array([[1.0, rho], [np.conj(rho), 1.0]]), chain)[0])
 
 
 #: Cauchy-Schwarz is tight on term (2, 1) of this channel: both families'
@@ -480,8 +486,8 @@ def test_pair_closed_forms_beat_dense_scan(K):
             # 1e-6) reaches ~5e-10 bits, so it is held to the referee instead
             vmin, wit = ifc.kra_term_min(ch, t)
             idx = [p - 1 for p in t.perm]
-            at_wit = _lean_kra_value_grad(wit.sigma[np.ix_(idx, idx)],
-                                          _term_grams(_reduced_channel(ch, t)))[0]
+            at_wit = _chain_value_grad(wit.sigma[np.ix_(idx, idx)],
+                                       _chain_covariances(_reduced_channel(ch, t)))[0]
             swept = _pair_kra_scan(ch, t)
             assert at_wit <= swept + 1e-12, (t, at_wit, swept)
             assert abs(vmin - referee_kra_term(ch, wit, t)) <= CERT_TOL, t
@@ -497,16 +503,16 @@ def test_pair_minimizers_clamp_to_cap_when_cauchy_schwarz_is_tight():
 
 def _pair_rank_check(monkeypatch, ch, t):
     """kra_term_min on a term of one or two users, ranked in closed form
-    with no slogdet block built, against the slogdet ranking: the same value
-    and witness bytes, unless the pair coupling and the identity tie in
+    with no chain covariance built, against the slogdet ranking: the same
+    value and witness bytes, unless the pair coupling and the identity tie in
     closed form to within round-off, where either may come first and the
     re-scored values agree to 1e-14 bits.  True when the results differ."""
     def forbidden(*args):
-        raise AssertionError("slogdet blocks built for a term on one or two users")
+        raise AssertionError("chain covariances built for a term on one or two users")
 
     with monkeypatch.context() as m:
-        m.setattr(outer_bound, "_term_grams", forbidden)
-        m.setattr(outer_bound, "_lean_kra_value_grad", forbidden)
+        m.setattr(outer_bound, "_chain_covariances", forbidden)
+        m.setattr(outer_bound, "_chain_value_grad", forbidden)
         ours = ifc.kra_term_min(ch, t)
     ref = slogdet_ranked_pair_min(ch, t)
     if (ours[0], ours[1].sigma.tobytes()) == (ref[0], ref[1].sigma.tobytes()):

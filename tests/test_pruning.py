@@ -17,11 +17,11 @@ import pytest
 import ifcbounds as ifc
 from ifcbounds import outer_bound
 from ifcbounds.outer_bound import (
+    _chain_covariances,
+    _chain_value_grad,
     _kra_lower_bound,
     _kra_start,
-    _lean_kra_value_grad,
     _reduced_channel,
-    _term_grams,
 )
 
 from support import count_calls, random_channel, random_z_channel, sample_interior_sigma
@@ -83,8 +83,8 @@ def test_exact_ties_keep_the_first_ordering(monkeypatch, K):
         assert _reports([ch], "kra") + _reports([ch], "kra,etw") == pruned
 
 
-def _bound_at(sigma, grams):
-    return _kra_lower_bound(sigma, *_lean_kra_value_grad(sigma, grams), grams)
+def _bound_at(sigma, chain):
+    return _kra_lower_bound(sigma, *_chain_value_grad(sigma, chain), chain)
 
 
 @pytest.mark.parametrize("K, scale, seed", [(3, 1.0, 71), (4, 8.0, 72)])
@@ -92,17 +92,25 @@ def test_lower_bound_is_below_the_minimum(monkeypatch, K, scale, seed):
     rng = np.random.default_rng(seed)
     ch = random_channel(rng, K, scale)
     subset = (1, 2, K)
-    real = outer_bound._kra_lower_bound
+    real = outer_bound._factored_value_grad
     for perm in (subset, subset[::-1]):
         t = ifc.BoundTerm(subset, perm)
         grid, _ = ifc.grid_min_sigma(ch, t, resolution=8)
         val, _ = ifc.kra_term_min(ch, t)
-        grams = _term_grams(_reduced_channel(ch, t))
-        bounds = [_bound_at(sample_interior_sigma(rng, 3).sigma, grams) for _ in range(20)]
+        chain = _chain_covariances(_reduced_channel(ch, t))
+        bounds = [_bound_at(sample_interior_sigma(rng, 3).sigma, chain) for _ in range(20)]
         iterates = []
+
+        def spy(x, chain, seen=None):  # the bound at every point the solve evaluates
+            mine: list = []
+            out = real(x, chain, mine)
+            if mine:
+                iterates.append(_kra_lower_bound(*mine, chain))
+                if seen is not None:
+                    seen[:] = mine
+            return out
         with monkeypatch.context() as m:
-            m.setattr(outer_bound, "_kra_lower_bound",
-                      lambda *a: iterates.append(real(*a)) or iterates[-1])
+            m.setattr(outer_bound, "_factored_value_grad", spy)
             assert ifc.kra_term_min(ch, t, math.inf)[0] == val  # +inf prunes nothing
         assert len(iterates) > 1
         for lb, _ in bounds + iterates:
@@ -120,17 +128,17 @@ def test_lower_bound_is_tight_at_an_interior_minimiser():
     for _ in range(3):
         ch, sig = random_z_channel(rng, 3)
         val, _ = ifc.kra_term_min(ch, t)
-        lb, allowance = _bound_at(sig.sigma, _term_grams(_reduced_channel(ch, t)))
+        lb, allowance = _bound_at(sig.sigma, _chain_covariances(_reduced_channel(ch, t)))
         assert abs(val - lb) <= 1e-6 and allowance < 1e-6
     # a dense channel whose solve ends inside the cone, where BFGS_GTOL leaves
     # the end point a little short of the minimiser
     ch = random_channel(np.random.default_rng(94), 3)
     t = ifc.BoundTerm((1, 2, 3), (2, 1, 3))
-    grams, candidates = _kra_start(ch, t)
-    end = outer_bound._factored_min_sigma(candidates[-1], grams)
+    chain, candidates = _kra_start(ch, t)
+    end = outer_bound._factored_min_sigma(candidates[-1], chain)
     assert np.linalg.eigvalsh(end)[0] > 1e-2
     val, _ = ifc.kra_term_min(ch, t)
-    lb, _ = _bound_at(end, grams)
+    lb, _ = _bound_at(end, chain)
     assert val - 1e-6 <= lb <= val + 1e-9
 
 
