@@ -44,9 +44,10 @@ diag y)), y_i = Re (G Sigma)_ii (``_kra_lower_bound``, which derives it and
 its round-off allowance, 1e-9 bits plus 4 s n^2 (n + 1) eps (1 + 2 /
 lambda) (5 + 4 |Hr|_F^2) / (lambda ln 2) from the Cholesky factor's backward
 error, with n = 2 s - 1 and lambda = lambda_min(Sigma)).
-``region`` builds each ordering's start once (``_kra_start``: the
-recursion warm start and the chain rows' covariances at Sigma = 0, with and
-without H, of the reduced channel) and hands it to ``kra_term_min``.  The
+``region`` builds each ordering's candidate couplings once (``_kra_start``:
+the identity and, on a pair, the pair coupling or, on three or more users,
+the recursion warm start) and hands them to ``kra_term_min``; the chain
+covariances are rebuilt from the reduced channel where they are read.  The
 orderings of a subset of three or more users are solved in order of
 their starting value, each passed the least value reported before it; a
 solve whose LB clears that value by more than the allowance stops, and the
@@ -494,31 +495,28 @@ def _kra_lower_bound(sigma: np.ndarray, value: float, G: np.ndarray,
 
 
 def _factored_min_sigma(sigma0: np.ndarray, chain: np.ndarray,
-                        prune_above: Optional[float] = None) -> Optional[np.ndarray]:
+                        prune_above: float = math.inf) -> Optional[np.ndarray]:
     """End point of BFGS over the factored coupling Sigma = U U^H from sigma0.
 
-    With prune_above, the solve is ended at the first iterate whose
-    _kra_lower_bound clears prune_above by more than its allowance, and the
-    result is None: no point of the elliptope scores at or below prune_above.
-    An iterate whose value is at most prune_above cannot clear it (LB <= f),
-    so its bound is not computed.
+    The solve is ended at the first iterate whose _kra_lower_bound clears
+    prune_above by more than its allowance, and the result is None: no point
+    of the elliptope scores at or below prune_above.  An iterate whose value
+    is at most prune_above cannot clear it (LB <= f), so its bound is not
+    computed; at +inf none is.
     """
     s = sigma0.shape[0]
     V = np.linalg.cholesky(_floor_eig(sigma0, EIG_FLOOR))
     x0 = np.concatenate([V.real.ravel(), V.imag.ravel()])
-    if prune_above is None:
-        res = minimize(lambda x: _factored_value_grad(x, chain), x0)
-    else:
-        seen: list = []
+    seen: list = []
 
-        def cleared() -> bool:
-            if seen[1] <= prune_above:
-                return False
-            lb, allowance = _kra_lower_bound(*seen, chain)
-            return lb - prune_above > allowance
-        res = minimize(lambda x: _factored_value_grad(x, chain, seen), x0, cleared)
-        if res.stopped:
-            return None
+    def cleared() -> bool:
+        if seen[1] <= prune_above:
+            return False
+        lb, allowance = _kra_lower_bound(*seen, chain)
+        return lb - prune_above > allowance
+    res = minimize(lambda x: _factored_value_grad(x, chain, seen), x0, cleared)
+    if res.stopped:
+        return None
     U, _ = _unit_rows(res.x, s)
     return U @ U.conj().T
 
@@ -537,15 +535,6 @@ def _first_scored(ranked: Sequence, score: Callable):
         return _first_scored(rest, score)
 
 
-class _KraStart(NamedTuple):
-    """What a term's minimization starts from: its _chain_covariances (None
-    on one or two users, which rank without them) and its candidates before
-    a solve."""
-
-    chain: Optional[np.ndarray]
-    candidates: Tuple[np.ndarray, ...]
-
-
 def _pair_value(rho: complex, a0: complex, a1: complex) -> float:
     """The objective _pair_rho minimizes for a pair term, log2 det(Sigma +
     a a^H) - log2 det Sigma with Sigma's off-diagonal entry rho and a =
@@ -555,18 +544,18 @@ def _pair_value(rho: complex, a0: complex, a1: complex) -> float:
     return math.log2(den * (1.0 + abs(a1) ** 2) + abs(a0 - rho * a1) ** 2) - math.log2(den)
 
 
-def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
-    """t's start, built from its reduced channel.  A singleton's one
-    candidate is the identity.  A pair's are the identity and the pair
-    coupling, ranked by _pair_value (the identity first on a tie), with no
-    chain covariances.  On three or more users they are the identity, then the
-    recursion warm start if it is PSD (exact for a constructed channel), and
-    the last is where the BFGS solve starts."""
+def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> Tuple[np.ndarray, ...]:
+    """t's candidate couplings before a solve, s x s matrices built from its
+    reduced channel.  A singleton's one candidate is the identity.  A pair's
+    are the identity and the pair coupling, ranked by _pair_value (the
+    identity first on a tie).  On three or more users they are the identity,
+    then the recursion warm start if it is PSD (exact for a constructed
+    channel), and the last is where the BFGS solve starts."""
     Hr = _reduced_channel(ch, t)
     s = Hr.shape[0]
     eye = np.eye(s, dtype=complex)
     if s == 1:
-        return _KraStart(None, (eye,))
+        return (eye,)
     if s == 2:
         tail = Hr[:, 1:]
         A = tail @ tail.conj().T
@@ -574,13 +563,13 @@ def _kra_start(ch: ChannelMatrix, t: BoundTerm) -> _KraStart:
         pair = np.array([[1.0, rho], [rho.conjugate(), 1.0]])
         a0, a1 = complex(Hr[0, 1]), complex(Hr[1, 1])
         better = _pair_value(rho, a0, a1) < _pair_value(0j, a0, a1)
-        return _KraStart(None, (pair, eye) if better else (eye, pair))
+        return (pair, eye) if better else (eye, pair)
     warm = invert_coupling_recursion(Hr)
-    return _KraStart(_chain_covariances(Hr), (eye,) if warm is None else (eye, warm))
+    return (eye,) if warm is None else (eye, warm)
 
 
-def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] = None,
-                 *, start: Optional[_KraStart] = None
+def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: float = math.inf,
+                 *, start: Optional[Tuple[np.ndarray, ...]] = None
                  ) -> Optional[Tuple[float, NoiseCorrelation]]:
     """Minimize the correlated-noise term over the noise correlation.
 
@@ -595,26 +584,27 @@ def kra_term_min(ch: ChannelMatrix, t: BoundTerm, prune_above: Optional[float] =
     start if that is PSD, else from the identity, and its end point is
     blended toward the identity to the smallest eigenvalue EIG_FLOOR.  Solve
     and ranking read one objective, the entropy chain that kra_term_value
-    reports, off a Cholesky factor (_chain_value_grad).  The end point, the
-    identity and the PSD warm start are ranked by its value (stably, so the
-    identity wins ties), and re-scored through kra_term_value by
-    _first_scored.
+    reports, off a Cholesky factor of the reduced channel's
+    _chain_covariances (_chain_value_grad).  The end point, the identity and
+    the PSD warm start are ranked by its value (stably, so the identity wins
+    ties), and re-scored through kra_term_value by _first_scored.
 
-    ``start`` is t's _kra_start, which _kra_orderings builds once per
-    ordering and hands over; without it the call builds its own, with the
-    same result.
+    ``start`` is t's candidate tuple from _kra_start, which _kra_orderings
+    builds once per ordering and hands over; without it the call builds its
+    own, with the same result.
 
     ``prune_above`` is a value already reported for another ordering of S.
-    With it, a |S| >= 3 solve ends at the first accepted iterate whose
+    A |S| >= 3 solve ends at the first accepted iterate whose
     _kra_lower_bound on the term's minimum exceeds prune_above by more than
     its round-off allowance, and None is returned, with no candidate ranked
     or re-scored.  The value this call would otherwise report is the entropy
     chain at a point of the elliptope, so it is above prune_above: a pruned
-    ordering cannot win or tie.  Without prune_above, and for |S| <= 2, the
-    result is never None.
+    ordering cannot win or tie.  At +inf, and for |S| <= 2, the result is
+    never None.
     """
-    chain, candidates = _kra_start(ch, t) if start is None else start
+    candidates = _kra_start(ch, t) if start is None else start
     if t.size >= 3:
+        chain = _chain_covariances(_reduced_channel(ch, t))
         end = _factored_min_sigma(candidates[-1], chain, prune_above)
         if end is None:
             return None
@@ -770,26 +760,28 @@ def _kra_orderings(ch: ChannelMatrix, subset: Tuple[int, ...],
                    perms: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], tuple]:
     """kra_term_min of every ordering of subset that is not pruned, by ordering.
 
-    Each ordering's start (_kra_start) is built once, here, and handed to
-    its kra_term_min call.  On three or more users, the orderings are solved
-    in order of their starting value (stably), and each is passed the least
+    Each ordering's candidates (_kra_start) are built once, here, and handed
+    to its kra_term_min call; the chain covariances are built where they are
+    read and not kept.  On three or more users, the orderings are solved in
+    order of their starting value (stably), and each is passed the least
     value reported before it, so that a loser is pruned once its lower bound
     clears it.
     """
-    starts = {perm: _kra_start(ch, BoundTerm(subset, perm)) for perm in perms}
+    terms = [BoundTerm(subset, perm) for perm in perms]
+    starts = {t: _kra_start(ch, t) for t in terms}
 
-    def start_value(perm):  # the chain's value where the BFGS solve starts
-        chain, candidates = starts[perm]
-        return _chain_value_grad(_floor_eig(candidates[-1], EIG_FLOOR), chain)[0]
+    def start_value(t):  # the chain's value where the BFGS solve starts
+        chain = _chain_covariances(_reduced_channel(ch, t))
+        return _chain_value_grad(_floor_eig(starts[t][-1], EIG_FLOOR), chain)[0]
     if len(subset) >= 3:
-        perms = sorted(perms, key=start_value)
+        terms.sort(key=start_value)
     scored: Dict[Tuple[int, ...], tuple] = {}
-    best = None
-    for perm in perms:
-        res = kra_term_min(ch, BoundTerm(subset, perm), best, start=starts.pop(perm))
+    best = math.inf
+    for t in terms:
+        res = kra_term_min(ch, t, best, start=starts.pop(t))
         if res is not None:
-            scored[perm] = res
-            best = res[0] if best is None else min(best, res[0])
+            scored[t.perm] = res
+            best = min(best, res[0])
     return scored
 
 

@@ -33,7 +33,7 @@ def _unpruned(monkeypatch):
     and term, since they do not depend on the families asked for."""
     real, memo = outer_bound.kra_term_min, {}
 
-    def solve_all(ch, t, prune_above=None, **kwargs):  # forwards region's start
+    def solve_all(ch, t, prune_above=math.inf, **kwargs):  # forwards region's start
         key = (ch.entries.tobytes(), t)
         if key not in memo:
             memo[key] = real(ch, t, math.inf, **kwargs)
@@ -134,8 +134,8 @@ def test_lower_bound_is_tight_at_an_interior_minimiser():
     # the end point a little short of the minimiser
     ch = random_channel(np.random.default_rng(94), 3)
     t = ifc.BoundTerm((1, 2, 3), (2, 1, 3))
-    chain, candidates = _kra_start(ch, t)
-    end = outer_bound._factored_min_sigma(candidates[-1], chain)
+    chain = _chain_covariances(_reduced_channel(ch, t))
+    end = outer_bound._factored_min_sigma(_kra_start(ch, t)[-1], chain)
     assert np.linalg.eigvalsh(end)[0] > 1e-2
     val, _ = ifc.kra_term_min(ch, t)
     lb, _ = _bound_at(end, chain)
@@ -162,7 +162,7 @@ def _result_bytes(res):
 def test_a_handed_start_changes_no_result(K):
     # region builds each ordering's start once and hands it to kra_term_min;
     # the same call building its own start must give the same bytes, with
-    # no pruning, with +inf and with the least value of the subset
+    # no pruning (+inf) and with the least value of the subset
     ch = random_channel(np.random.default_rng(90 + K), K, 2.0)
     by_subset, pruned = {}, 0
     for t in ifc.enumerate_terms(K):
@@ -170,11 +170,25 @@ def test_a_handed_start_changes_no_result(K):
     for subset, terms in by_subset.items():
         built = {t: ifc.kra_term_min(ch, t) for t in terms}
         least = min(res[0] for res in built.values())
-        for prune_above in (None, math.inf, least):
+        for prune_above in (math.inf, least):
             for t in terms:
-                if prune_above is not None:
+                if prune_above < math.inf:
                     built[t] = ifc.kra_term_min(ch, t, prune_above)
                 handed = ifc.kra_term_min(ch, t, prune_above, start=_kra_start(ch, t))
                 assert _result_bytes(handed) == _result_bytes(built[t]), (t, prune_above)
                 pruned += handed is None
     assert pruned > 0  # the finite value stops some solves
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_a_start_is_its_candidate_couplings(K):
+    # a start held across the orderings of a subset is a plain tuple of
+    # s x s couplings: one on one user, two on a pair, and on three or more
+    # the identity and the warm start if it is PSD; no chain covariance
+    ch = random_channel(np.random.default_rng(90 + K), K, 2.0)
+    for t in ifc.enumerate_terms(K):
+        start = _kra_start(ch, t)
+        assert type(start) is tuple, (t, type(start))
+        assert all(isinstance(c, np.ndarray) and c.shape == (t.size, t.size)
+                   for c in start), t
+        assert len(start) in {1: (1,), 2: (2,)}.get(t.size, (1, 2)), (t, len(start))
