@@ -53,7 +53,7 @@ from .achievability import (
 # degradedness_witness is re-exported: the benchmark's tracer wraps it, and tests patch it, here
 from .construct import degradedness_witness, recover_noise_correlation
 from .errors import InternalConsistencyError, SingularCovariance
-from .gaussian_info import refuse_lost_pivots, square_root, squared_pivots
+from .gaussian_info import EIG_TOL, refuse_pivots, square_root, squared_pivots
 from .model import (
     BOUND_ONLY,
     CERTIFIED,
@@ -112,9 +112,9 @@ def _ladder_by_information(ch: ChannelMatrix, earlier_known: bool = True) -> flo
     before, own = squared_pivots(np.stack([root[K:], root[:K]], axis=1)).T
     var = 1.0 + np.sum(np.abs(ch.entries) ** 2, axis=1)
     # pivot 2(k-1) is Y_k given X_<k, pivot 2k - 1 is Y_k given (X_k, X_<k)
-    refuse_lost_pivots(np.stack([before, before * own], axis=1).ravel(), np.repeat(var, 2),
-                       lambda i: ([f"Y{i // 2 + 1}"], [f"X{i // 2 + 1}"] * (i % 2)
-                                  + [f"X{j}" for j in range(1, i // 2 + 1) if earlier_known]))
+    refuse_pivots(np.stack([before, before * own], axis=1), var[:, None], EIG_TOL,
+                  lambda i: ([f"Y{i // 2 + 1}"], [f"X{i // 2 + 1}"] * (i % 2)
+                             + [f"X{j}" for j in range(1, i // 2 + 1) if earlier_known]))
     return float(-np.sum(np.log2(own)))
 
 

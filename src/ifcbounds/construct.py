@@ -37,7 +37,7 @@ from .errors import (
     NotSorted,
     WitnessFailure,
 )
-from .gaussian_info import EIG_TOL, refuse_lost_pivots, square_root
+from .gaussian_info import EIG_TOL, refuse_pivots, square_root
 from .model import (
     PSD_EIG_TOL,
     ChannelMatrix,
@@ -89,8 +89,8 @@ def degradedness_witness(ch: ChannelMatrix, noise: NoiseCorrelation) -> WitnessR
         labels = [f"Y{k}"] + [f"X{i}" for i in range(1, k + 1)] + [f"Y{i}" for i in range(1, k)]
         rows = root[[K + k - 1, *range(k), *range(K, K + k - 1)]]
         R = np.linalg.qr(rows.conj().T, mode="r")
-        refuse_lost_pivots(np.abs(np.diagonal(R)[k:]) ** 2, np.sum(np.abs(rows[k:]) ** 2, axis=1),
-                           lambda i: (labels[k + i:k + i + 1], labels[:k + i]))
+        refuse_pivots(np.abs(np.diagonal(R)[k:]) ** 2, np.sum(np.abs(rows[k:]) ** 2, axis=1),
+                      EIG_TOL, lambda i: (labels[k + i:k + i + 1], labels[:k + i]))
         p, r = R[k, k], R[k, k + 1:]
         u = np.linalg.solve(R[k + 1:, k + 1:].conj().T, r.conj())
         coef = float(np.max(np.abs(r))) / abs(p)

@@ -7,9 +7,8 @@ the law (:func:`squared_pivots`), which does not square the gains.  A
 :func:`square_root`: :func:`build_joint` appends one written row per genie,
 the correlated-noise terms, ``construct`` and ``certify`` read it as it is,
 and ``model.make_joint`` factors covariances from elsewhere.  A law resolves
-its labels once; all routes word a lost pivot alike
-(:func:`refuse_lost_pivots`), and a conditioning set singular to working
-precision alike (:func:`refuse_singular_pivots`).
+its labels once.  Every route refuses a pivot by one rule, which also words
+it (:func:`refuse_pivots`), in the route's own order.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -135,33 +134,22 @@ def square_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
     return root
 
 
-def refuse_lost_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) -> None:
-    """SingularCovariance at the first squared pivot at or below EIG_TOL times its
-    variance; ``query(i)`` names pivot i's (target, given) labels."""
-    for i in np.flatnonzero(squares <= EIG_TOL * var)[:1]:
-        a, c = query(int(i))
+def refuse_pivots(squares: np.ndarray, var: np.ndarray, factor, name: Callable) -> None:
+    """SingularCovariance at the first squared pivot (in C order) at or below
+    ``factor`` times its variance, all broadcast, in one comparison: EIG_TOL
+    for a target, lost to round-off below it; eps for a conditioning row,
+    whose set is singular to working precision below it.  Only then is
+    ``name(i)`` called, for pivot i's (target, given) labels (no target for a
+    conditioning row)."""
+    fails = squares <= factor * var
+    if fails.any():
+        i = int(fails.argmax())
+        a, c = name(i)
+        if not a:
+            raise SingularCovariance(f"cov of {list(c)} is singular to working precision")
         raise SingularCovariance(
             f"cov of {list(a)} given {list(c)} has a pivot within EIG_TOL = {EIG_TOL:g} times "
-            f"its variance ({squares[i] / var[i]:.3e} of it), lost to round-off")
-
-
-def refuse_singular_pivots(squares: np.ndarray, var: np.ndarray, query: Callable) -> None:
-    """SingularCovariance at the first squared pivot at or below eps times its
-    variance; ``query(i)`` names the conditioning labels pivot i's row ends.
-    Such a set is singular to working precision, and a QR conditioning on it
-    would condition on a direction round-off chose."""
-    for i in np.flatnonzero(squares <= _EPS * var)[:1]:
-        raise SingularCovariance(f"cov of {list(query(int(i)))} is singular to working precision")
-
-
-def refuse_pivots(squares: np.ndarray, var: np.ndarray, a: list, c: list) -> None:
-    """pivot_log2det's refusals, for the squared pivots of rows (C, A) and
-    their variances: one of C's at or below eps times its variance
-    (refuse_singular_pivots), then one of A's at or below EIG_TOL times it
-    (refuse_lost_pivots)."""
-    n = len(c)
-    refuse_singular_pivots(squares[:n], var[:n], lambda i: c)
-    refuse_lost_pivots(squares[n:], var[n:], lambda i: (a, c))
+            f"its variance ({(squares / var).flat[i]:.3e} of it), lost to round-off")
 
 
 def _check_disjoint(a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> None:
@@ -178,11 +166,12 @@ def diff_entropy(j: JointGaussian, a: Sequence[str]) -> float:
 
 def pivot_log2det(rows: np.ndarray, a: list, c: list) -> float:
     """log2 det Cov(A | C) for the rows (C, A) of a root, labelled c then a:
-    the summed log2 of A's squared pivots, after refuse_pivots, with each
-    row's variance its squared norm."""
-    squares = squared_pivots(rows)
-    refuse_pivots(squares, np.sum(rows.real ** 2 + rows.imag ** 2, axis=1), a, c)
-    return sum(math.log2(s) for s in squares[len(c):].tolist())
+    the summed log2 of A's squared pivots, after refuse_pivots holds C's to eps
+    and then A's to EIG_TOL, with each row's variance its squared norm."""
+    squares, n = squared_pivots(rows), len(c)
+    refuse_pivots(squares, np.sum(rows.real ** 2 + rows.imag ** 2, axis=1),
+                  np.repeat((_EPS, EIG_TOL), (n, len(a))), lambda i: (a if i >= n else [], c))
+    return sum(math.log2(s) for s in squares[n:].tolist())
 
 
 def conditional_entropy(j: JointGaussian, a: Sequence[str], c: Sequence[str]) -> float:

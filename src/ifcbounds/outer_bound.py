@@ -87,13 +87,12 @@ from .errors import (
 )
 from .gaussian_info import (
     _EPS,
+    EIG_TOL,
     LOG2PIE,
     RHO_CAP,
     GenieSpec,
     build_joint,
-    refuse_lost_pivots,
     refuse_pivots,
-    refuse_singular_pivots,
     square_root,
     squared_pivots,
 )
@@ -357,8 +356,8 @@ def kra_term_value(ch: ChannelMatrix, noise: NoiseCorrelation, t: BoundTerm) -> 
         return ([f"X{u}" for u in perm[:k]] + [f"Y{u}" for u in perm[:k]]
                 + [f"X{i}" for i in range(1, ch.K + 1) if i not in perm])
     pivots = squares[0::2]
-    refuse_lost_pivots(pivots, var[0::2], lambda k: ([f"Y{perm[k]}"], given(k)))
-    refuse_singular_pivots(squares[1::2], var[1::2], lambda k: given(k + 1))
+    refuse_pivots(pivots, var[0::2], EIG_TOL, lambda k: ([f"Y{perm[k]}"], given(k)))
+    refuse_pivots(squares[1::2], var[1::2], _EPS, lambda k: ([], given(k + 1)))
     total = 0.0  # a plain loop: a term has few summands, and it beats three array passes
     for k, v in enumerate((np.log2(pivots) - 2.0 * np.log2(np.diagonal(root)[s:].real)).tolist()):
         if v <= -1e-9:
@@ -701,11 +700,13 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     and checked against each other, which pins the root's assembly, up to the
     pivot's QR error of eps times its row's norm: 32 eps sqrt(Var G_m / (1 -
     |rho|^2)) bits.  Every summand's rows (G_m, Y_k) are stacked into one
-    squared_pivots call and its rows (X_1..X_K, Y_k, G_m) into another, so a
-    term takes two batched QR calls whatever its size, each pivot bit for bit
-    that of its own block's call.  The summands are then read in order, each
-    under pivot_log2det's refusals (refuse_pivots) and the check above, so the
-    first summand at fault raises, as summand-by-summand reads would.
+    squared_pivots call and its rows (X_1..X_K, Y_k, G_m) into another, each
+    pivot bit for bit that of its own block's call.  All summands' refusals,
+    pivot_log2det's rules and the check above, are decided in one vectorised
+    pass; only when one fires are the summands walked in order, each worded
+    by refuse_pivots and checked exactly, so the first at fault raises, as
+    summand-by-summand reads would.  The value sums math.log2 of Python
+    floats in summand order, bit for bit those reads' value.
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
@@ -713,22 +714,31 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
               for k, m, r in zip(t.subset, t.perm, rhos)]
     root = build_joint(ch, None, genies).root  # refuses users beyond K
     K = ch.K
-    pairs = [[2 * K + a, K + k - 1] for a, k in enumerate(t.subset)]
-    chains = [[*range(K), y, g] for g, y in pairs]
-    firsts, seconds = squared_pivots(root[pairs]), squared_pivots(root[chains])
-    var = np.sum(root.real ** 2 + root.imag ** 2, axis=1)
-    all_x = [f"X{i}" for i in range(1, K + 1)]
+    # per summand, the rows (G_m, Y_k) and then (X_1..X_K, Y_k, G_m)
+    rows = np.array([[2 * K + a, K + k - 1, *range(K), K + k - 1, 2 * K + a]
+                     for a, k in enumerate(t.subset)])
+    squares = np.hstack([squared_pivots(root[rows[:, :2]]), squared_pivots(root[rows[:, 2:]])])
+    var = np.sum(root.real ** 2 + root.imag ** 2, axis=1)[rows]
+    factor = np.array([_EPS, EIG_TOL] + [_EPS] * (K + 1) + [EIG_TOL])
+    fails = (squares <= factor * var).any(axis=1)
+    walk = fails.any()
+    if not walk:  # the residual check to half its bound, past np.log2's ulps; the walk's is exact
+        res = 1.0 - np.abs(np.asarray(rhos, dtype=complex)) ** 2
+        walk = (abs(np.log2(squares[:, -1] / res)) > 16 * _EPS * np.sqrt(var[:, -1] / res)).any()
     total = 0.0
-    for a, (k, m, r) in enumerate(zip(t.subset, t.perm, rhos)):
-        refuse_pivots(firsts[a], var[pairs[a]], [f"Y{k}"], [f"G{m}"])
-        refuse_pivots(seconds[a], var[chains[a]], [f"G{m}"], all_x + [f"Y{k}"])
-        first = LOG2PIE + math.log2(firsts[a, 1])
-        second = LOG2PIE + math.log2(seconds[a, K + 1])
-        residual = 1.0 - abs(r) ** 2
-        closed = LOG2PIE + math.log2(residual)
-        if abs(second - closed) > 32.0 * _EPS * math.sqrt(var[2 * K + a] / residual):
-            raise InternalConsistencyError(
-                f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
+    for k, m, r, fail, sq, v in zip(t.subset, t.perm, rhos, fails.tolist(), squares, var):
+        if fail:  # each pivot's (target, given) labels
+            gm, chain = [f"G{m}"], [f"X{i}" for i in range(1, K + 1)] + [f"Y{k}"]
+            names = [([], gm), ([f"Y{k}"], gm)] + [([], chain)] * (K + 1) + [(gm, chain)]
+            refuse_pivots(sq, v, factor, names.__getitem__)
+        first = LOG2PIE + math.log2(sq[1])
+        second = LOG2PIE + math.log2(sq[-1])
+        if walk:
+            residual = 1.0 - abs(r) ** 2
+            closed = LOG2PIE + math.log2(residual)
+            if abs(second - closed) > 32.0 * _EPS * math.sqrt(v[-1] / residual):
+                raise InternalConsistencyError(
+                    f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
         total += first - second
     return total
 

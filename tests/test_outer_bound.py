@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -720,6 +721,83 @@ def test_etw_refusal_names_the_first_summand_at_fault():
     with pytest.raises(SingularCovariance, match=re.escape(
             "cov of ['Y1'] given ['G1'] has a pivot within EIG_TOL")):
         ifc.region(ch, families="etw")
+
+
+def _etw_refusal_at_summand_2(monkeypatch, pair=None, chain=None):
+    """etw_term_value's error on a dense K=3 channel, term (1, 2, 3) -> (2, 3, 1)
+    at rho = 0, with the pivot reader doctored: ``pair`` / ``chain`` map a
+    pivot (summand, position) of each block stack to its new squared pivot,
+    given the block's rows.  Summand 3 always fails its first rule (G1
+    singular), so a later summand's text must not win."""
+    reader = outer_bound.squared_pivots
+
+    def doctored(rows):
+        sq = reader(rows)
+        edits = {**(pair or {}), (2, 0): lambda row: 1e-300} if sq.shape[1] == 2 else chain or {}
+        for (a, j), value in edits.items():
+            sq[a, j] = value(rows[a, j])
+        return sq
+
+    monkeypatch.setattr(outer_bound, "squared_pivots", doctored)
+    ch = random_channel(np.random.default_rng(36), 3)
+    with pytest.raises(Exception) as got:
+        ifc.etw_term_value(ch, ifc.BoundTerm((1, 2, 3), (2, 3, 1)), (0j,) * 3)
+    return type(got.value), str(got.value)
+
+
+def test_etw_refusal_of_a_singular_genie_in_its_pair_block(monkeypatch):
+    # summand 2's every rule fails; the first, G_m in (G_m, Y_k), is worded
+    tiny = lambda row: 1e-300  # noqa: E731  (above zero, so a skipped rule shows)
+    got = _etw_refusal_at_summand_2(monkeypatch, pair={(1, 0): tiny, (1, 1): tiny},
+                                    chain={(1, 0): tiny, (1, 4): tiny})
+    assert got == (SingularCovariance, "cov of ['G3'] is singular to working precision")
+
+
+def test_etw_refusal_of_a_genie_lost_given_the_inputs_and_its_output(monkeypatch):
+    # G_m's pivot after (X, Y_k) at exactly EIG_TOL times its variance (its row's
+    # squared norm): refused as lost before the residual check would see it
+    got = _etw_refusal_at_summand_2(
+        monkeypatch, chain={(1, 4): lambda row: 1e-12 * np.sum(row.real ** 2 + row.imag ** 2)})
+    assert got == (SingularCovariance,
+                   "cov of ['G3'] given ['X1', 'X2', 'X3', 'Y2'] has a pivot within EIG_TOL = "
+                   "1e-12 times its variance (1.000e-12 of it), lost to round-off")
+
+
+def test_etw_refusal_of_a_residual_genie_entropy_mismatch(monkeypatch):
+    # at rho = 0, Var(G_m | X, Y_k) = 1; read as 1/2 it is one bit off
+    got = _etw_refusal_at_summand_2(monkeypatch, chain={(1, 4): lambda row: 0.5})
+    assert got == (InternalConsistencyError,
+                   f"residual genie entropy mismatch: QR {ifc.LOG2PIE + -1.0!r} vs closed form "
+                   f"{ifc.LOG2PIE + 0.0!r}")
+
+
+@pytest.mark.parametrize("share", [0.75, 1.5])
+def test_etw_residual_past_half_its_bound_is_walked_and_checked_exactly(monkeypatch, share):
+    # the vectorised pass holds the residual identity to half its bound, so
+    # summand 2 read at 3/4 of the bound is walked and scored, and at 3/2 of
+    # it refused, each as the summand-by-summand reads would
+    reader, blocks = outer_bound.squared_pivots, []
+
+    def doctored(rows):
+        sq = reader(rows)
+        if sq.shape[1] > 2:  # at rho = 0, log2 Var(G_m | X, Y_k) = 0
+            bound = 32.0 * np.finfo(float).eps * np.sqrt(np.sum(np.abs(rows[1, -1]) ** 2))
+            sq[1, -1] = 2.0 ** (share * bound)
+        blocks.append(sq)
+        return sq
+
+    monkeypatch.setattr(outer_bound, "squared_pivots", doctored)
+    ch = random_channel(np.random.default_rng(36), 3)
+    t = ifc.BoundTerm((1, 2, 3), (2, 3, 1))
+    if share > 1:
+        with pytest.raises(InternalConsistencyError, match="residual genie entropy mismatch"):
+            ifc.etw_term_value(ch, t, (0j,) * 3)
+        return
+    got = ifc.etw_term_value(ch, t, (0j,) * 3)
+    want = 0.0
+    for y, g in zip(blocks[0][:, 1], blocks[1][:, -1]):
+        want += (ifc.LOG2PIE + math.log2(y)) - (ifc.LOG2PIE + math.log2(g))
+    assert got == want
 
 
 def test_etw_referee_matches_the_closed_form():

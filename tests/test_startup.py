@@ -92,3 +92,18 @@ def test_kra_on_three_users_loads_no_scipy_and_matches_in_process(specs, argv, c
     assert res["scipy"] == []
     code = main(argv)
     assert (res["code"], res["out"]) == (code, capsys.readouterr().out)
+
+
+def test_main_holds_no_state_between_calls(specs, capsys):
+    # one process's main answers each command as a fresh interpreter does,
+    # whatever ran before it, an argument error included
+    runs = [["certify", specs["z2"]], ["evaluate", specs["dense3"]], ["count-bounds", "2", "3"],
+            ["count-bounds", "two"], ["certify", specs["z2"]]]
+    got = []
+    for argv in runs:
+        code = main(argv)
+        got.append((code, capsys.readouterr().out))
+    assert got[3][0] == 2
+    for argv, (code, out) in zip(runs, got):
+        res = _fresh_cli(*argv)
+        assert (res["code"], res["out"]) == (code, out), argv
