@@ -9,10 +9,10 @@ the local optimizer on terms of at most three users, on a channel of any
 size, through one explicit 1x1/2x2/3x3 determinant evaluator shared by its
 scan and its refinement.
 
-Sampling uses a counter-based generator (Philox) driving inverse-CDF normals,
-a portable, named recipe: u ~ U(0,1), z = (ndtri(u1) + i ndtri(u2)) / sqrt(2).
-scipy (``ndtri``, and ``minimize`` for the grid's refinement) is imported in
-the functions that use it, so importing the package does not load it.
+Sampling uses a counter-based generator (Philox) driving Box-Muller draws
+(Box & Muller 1958), a portable, named recipe: u ~ U[0,1),
+z = sqrt(-log1p(-u1)) exp(2 pi i u2) ~ CN(0, 1).  scipy is used only by the
+grid's refinement (``minimize``), imported there, so no command loads it.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     w_c, p_c, ld_c = _conditional_pieces(cov, ia, ic)
     w_bc, p_bc, ld_bc = _conditional_pieces(cov, ia, ib + ic)
 
-    from scipy.special import ndtri
     gen = np.random.Generator(np.random.Philox(seed))
     total = 0.0
     total_sq = 0.0
@@ -126,8 +125,7 @@ def mc_mutual_information(j: JointGaussian, a: Sequence[str], b: Sequence[str],
     while done < n_samples:
         m = min(CHUNK, n_samples - done)
         u = gen.random((2, m, R.shape[0]))
-        np.clip(u, 1e-15, 1.0 - 1e-15, out=u)
-        z = (ndtri(u[0]) + 1j * ndtri(u[1])) / np.sqrt(2.0)
+        z = np.sqrt(-np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
         samp = z @ R.conj()  # each row R^H w for white w
         va = samp[:, ia]
         r_c = va - samp[:, ic] @ w_c.T
@@ -167,14 +165,10 @@ class CorrelationAngles:
             lo += [THETA_MIN] * (k - 1) + [0.0] * (k - 1)
             hi += [np.pi / 2] * (k - 1) + [2 * np.pi] * (k - 1)
         self.bounds = list(zip(lo, hi))
-        # sigma is 2*pi-periodic in every phase, but a box-constrained simplex
-        # cannot cross the wrap: a minimum just below phase 0 is unreachable
-        # from a start at phase 0.  Searches therefore get a box widened by a
-        # full period on each side; sampling stays on self.bounds.
-        self.search_bounds = [
-            (l, h) if h <= np.pi else (l - 2 * np.pi, h + 2 * np.pi)
-            for l, h in self.bounds
-        ]
+        # searches run past pi/2, where an entry's sign flips, so they cross a
+        # zero correlation; phases are periodic and need no box
+        self.search_bounds = [(l, np.pi - THETA_MIN) if h <= np.pi else (-np.inf, np.inf)
+                              for l, h in self.bounds]
 
     def rows(self, x) -> List[list]:
         """Rows of L, row k holding its k + 1 entries (the last one real).

@@ -699,14 +699,14 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     the second entropy is exactly log2(pi e (1 - |rho|^2)).  Both are computed
     and checked against each other, which pins the root's assembly, up to the
     pivot's QR error of eps times its row's norm: 32 eps sqrt(Var G_m / (1 -
-    |rho|^2)) bits.  Every summand's rows (G_m, Y_k) are stacked into one
-    squared_pivots call and its rows (X_1..X_K, Y_k, G_m) into another, each
-    pivot bit for bit that of its own block's call.  All summands' refusals,
-    pivot_log2det's rules and the check above, are decided in one vectorised
-    pass; only when one fires are the summands walked in order, each worded
-    by refuse_pivots and checked exactly, so the first at fault raises, as
-    summand-by-summand reads would.  The value sums math.log2 of Python
-    floats in summand order, bit for bit those reads' value.
+    |rho|^2)) bits, checked exactly, in math.log2, on every summand.  Every
+    summand's rows (G_m, Y_k) are stacked into one squared_pivots call and its
+    rows (X_1..X_K, Y_k, G_m) into another, each pivot bit for bit that of its
+    own block's call.  pivot_log2det's rules are decided for all pivots in one
+    vectorised comparison, and only a summand where one fires is worded by
+    refuse_pivots.  The summands are read in order, so the first at fault
+    raises, as summand-by-summand reads would, and the value sums math.log2
+    of Python floats in that order, bit for bit those reads' value.
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
@@ -721,10 +721,6 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     var = np.sum(root.real ** 2 + root.imag ** 2, axis=1)[rows]
     factor = np.array([_EPS, EIG_TOL] + [_EPS] * (K + 1) + [EIG_TOL])
     fails = (squares <= factor * var).any(axis=1)
-    walk = fails.any()
-    if not walk:  # the residual check to half its bound, past np.log2's ulps; the walk's is exact
-        res = 1.0 - np.abs(np.asarray(rhos, dtype=complex)) ** 2
-        walk = (abs(np.log2(squares[:, -1] / res)) > 16 * _EPS * np.sqrt(var[:, -1] / res)).any()
     total = 0.0
     for k, m, r, fail, sq, v in zip(t.subset, t.perm, rhos, fails.tolist(), squares, var):
         if fail:  # each pivot's (target, given) labels
@@ -733,12 +729,11 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
             refuse_pivots(sq, v, factor, names.__getitem__)
         first = LOG2PIE + math.log2(sq[1])
         second = LOG2PIE + math.log2(sq[-1])
-        if walk:
-            residual = 1.0 - abs(r) ** 2
-            closed = LOG2PIE + math.log2(residual)
-            if abs(second - closed) > 32.0 * _EPS * math.sqrt(v[-1] / residual):
-                raise InternalConsistencyError(
-                    f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
+        residual = 1.0 - abs(r) ** 2
+        closed = LOG2PIE + math.log2(residual)
+        if abs(second - closed) > 32.0 * _EPS * math.sqrt(v[-1] / residual):
+            raise InternalConsistencyError(
+                f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
         total += first - second
     return total
 

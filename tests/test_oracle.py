@@ -145,6 +145,17 @@ def test_grid_takes_small_terms_on_four_users():
         assert abs(gval - oval) < 1e-9
 
 
+def test_grid_search_crosses_a_zero_correlation():
+    # a search boxed at theta <= pi/2 stops on this term where the (1, 2)
+    # correlation is zero, 3.3e-3 bits above the optimizer; past pi/2 that
+    # entry changes sign and the search reaches the minimum
+    ch = random_channel(np.random.default_rng(0), 3, 2.0)
+    t = ifc.BoundTerm((1, 2, 3), (1, 2, 3))
+    gval, _ = ifc.grid_min_sigma(ch, t, resolution=12)
+    oval, _ = ifc.kra_term_min(ch, t)
+    assert abs(gval - oval) < 1e-9
+
+
 def test_explicit_value_matches_reference_term():
     # the scan and the refinement share this evaluator; check it pointwise
     # against the conditional-MI reference at random interior angles

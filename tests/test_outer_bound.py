@@ -681,15 +681,19 @@ def test_genie_residual_check_holds_at_large_cross_gains():
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_etw_term_value_is_the_summand_by_summand_route_bit_for_bit(K):
     # two batched QR calls per term give each summand's pivots as its own
-    # pivot_log2det calls do, so every value is the same float
-    rng = np.random.default_rng(3100 + K)
-    for scale in (0.5, 2.0, 30.0):
-        ch = random_channel(rng, K, scale)
-        for t in ifc.enumerate_terms(K):
-            for rhos in ((0j,) * t.size, ifc.etw_term_min(ch, t)[1],
-                         tuple(0.9 * np.exp(1j * k) for k in range(t.size))):
-                assert ifc.etw_term_value(ch, t, rhos) == etw_term_by_summand(ch, t, rhos), \
-                    (scale, t, rhos)
+    # pivot_log2det calls do, so every value is the same float.  At K=3, seed
+    # 21's scale-2 channel and seed 242's scale-0.5 one tell math.log2 from
+    # np.log2 (which differ in the last ulp), read for each summand's first
+    # and for its second entropy respectively
+    for seed in (3100 + K, 21, 242):
+        rng = np.random.default_rng(seed)
+        for scale in (0.5, 2.0, 30.0):
+            ch = random_channel(rng, K, scale)
+            for t in ifc.enumerate_terms(K):
+                for rhos in ((0j,) * t.size, ifc.etw_term_min(ch, t)[1],
+                             tuple(0.9 * np.exp(1j * k) for k in range(t.size))):
+                    assert ifc.etw_term_value(ch, t, rhos) == etw_term_by_summand(ch, t, rhos), \
+                        (seed, scale, t, rhos)
 
 
 #: a tiny direct gain under a large cross gain (the CI "Huge gains" spec)
@@ -773,9 +777,9 @@ def test_etw_refusal_of_a_residual_genie_entropy_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("share", [0.75, 1.5])
 def test_etw_residual_past_half_its_bound_is_walked_and_checked_exactly(monkeypatch, share):
-    # the vectorised pass holds the residual identity to half its bound, so
-    # summand 2 read at 3/4 of the bound is walked and scored, and at 3/2 of
-    # it refused, each as the summand-by-summand reads would
+    # every summand's residual identity is checked exactly against its bound,
+    # so summand 2 read at 3/4 of the bound is scored, and at 3/2 of it
+    # refused, each as the summand-by-summand reads would
     reader, blocks = outer_bound.squared_pivots, []
 
     def doctored(rows):

@@ -1,10 +1,10 @@
-"""scipy stays off the import path of every command but ``verify``.
+"""scipy stays off the import path of every command.
 
 Importing scipy.optimize would be most of a fresh CLI call's start-up.  KRA
-terms on three or more users are solved by the package's own BFGS, so only
-``verify`` (the Monte-Carlo sampler's ``ndtri``) and the grid oracle, which
-no other command runs, load it.  Each case runs in a fresh interpreter,
-because the test process itself has scipy loaded.
+terms on three or more users are solved by the package's own BFGS, and
+``verify`` samples by Box-Muller, so only the grid oracle, which no command
+runs, loads it.  Each case runs in a fresh interpreter, because the test
+process itself has scipy loaded.
 """
 
 import json
@@ -73,6 +73,7 @@ def test_import_loads_no_scipy():
     ["certify", "{z2}"],
     ["certify", "{dense2}"],
     ["evaluate", "--families", "etw", "{dense4}"],
+    ["verify", "{z2}", "--mc-samples", "10000"],
 ], ids=" ".join)
 def test_commands_without_bfgs_load_no_scipy(specs, argv):
     res = _fresh_cli(*[a.format(**specs) for a in argv])
