@@ -4,11 +4,13 @@ Everything here reduces to log-determinants of conditional covariances, each
 read off the squared pivots of a QR factor of some rows of a square root of
 the law (:func:`squared_pivots`), which does not square the gains.  A
 ``JointGaussian`` holds its root, and every channel law's starts from
-:func:`square_root`: :func:`build_joint` appends one written row per genie,
-the correlated-noise terms, ``construct`` and ``certify`` read it as it is,
-and ``model.make_joint`` factors covariances from elsewhere.  A law resolves
-its labels once.  Every route refuses a pivot by one rule, which also words
-it (:func:`refuse_pivots`), in the route's own order.
+:func:`square_root`: one writer, :func:`genie_root`, appends one written row
+per genie, read by :func:`build_joint`, which labels it, and by
+``outer_bound.etw_term_value``, by row index; the correlated-noise terms,
+``construct`` and ``certify`` read square_root's as it is, and
+``model.make_joint`` factors covariances from elsewhere.  A law resolves its
+labels once.  Every route refuses a pivot by one rule, which also words it
+(:func:`refuse_pivots`), in the route's own order.
 
 Conventions: cov[a, b] = E[v_a v_b^*]; entropies in bits; a complex
 circularly-symmetric vector with covariance S has h = log2 det(pi e S).
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,11 @@ EIG_TOL = 1e-12
 RHO_CAP = 1.0 - 1e-6
 
 
+def _check_rho(rho: complex) -> None:
+    if not abs(rho) <= RHO_CAP:  # also refuses a NaN rho
+        raise RhoTooLarge(f"|rho| = {abs(rho):.8f} exceeds {RHO_CAP}")
+
+
 @dataclass(frozen=True)
 class GenieSpec:
     """Side information G_m = sum_{j != m} h_{m,j} X_j + noise.
@@ -56,8 +63,45 @@ class GenieSpec:
     paired_with: int
 
     def __post_init__(self):
-        if not abs(self.rho) <= RHO_CAP:  # also refuses a NaN rho
-            raise RhoTooLarge(f"|rho| = {abs(self.rho):.8f} exceeds {RHO_CAP}")
+        _check_rho(self.rho)
+
+
+def genie_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation],
+               genies: Iterable[Tuple[int, complex, int]]) -> np.ndarray:
+    """Read-only root of (X_1..X_K, Y_1..Y_K, G_m per (target, rho, paired_with)
+    genie): square_root's rows, then each genie's written out, the target's
+    channel row less its direct gain on X, conj(rho) times row ``paired_with``
+    of the noise factor, and sqrt(1 - |rho|^2) on a fresh noise W'.  Every rho
+    is checked first, then each genie's users and target, so every genie
+    written has a law; a coupling is refused only as square_root refuses it."""
+    K = ch.K
+    genies = [(m, complex(rho), k) for m, rho, k in genies]
+    for _, rho, _ in genies:
+        _check_rho(rho)
+    seen_targets = set()
+    for m, _, k in genies:
+        if not (1 <= m <= K) or not (1 <= k <= K):
+            raise IndexOutOfRange(f"genie indices (target={m}, paired_with={k}) outside 1..{K}")
+        if m in seen_targets:
+            raise LabelOverlap(f"two genies share target {m}")
+        seen_targets.add(m)
+
+    n_g = len(genies)
+    root = np.zeros((2 * K + n_g, 2 * K + n_g), dtype=complex)
+    root[:2 * K, :2 * K] = square_root(ch, noise)
+    for a, (m, rho, k) in enumerate(genies):
+        row = root[2 * K + a]
+        row[:K] = ch.entries[m - 1]
+        row[m - 1] = 0.0
+        # zeros kept unsigned (+ 0.0) and |rho|^2 summed as re^2 + im^2: with genies on
+        # distinct receivers, the Cholesky factor of Cov(Z, Z~) entry for entry
+        if noise is None:  # row k of the factor I is e_k: conj(rho) times it, entry for entry
+            row[K + k - 1] = rho.conjugate() + 0.0
+        else:
+            row[K:2 * K] = root[K + k - 1, K:2 * K] * rho.conjugate() + 0.0
+        row[2 * K + a] = math.sqrt(1.0 - (rho.conjugate() * rho).real)
+    root.setflags(write=False)
+    return root
 
 
 def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
@@ -66,36 +110,11 @@ def build_joint(ch: ChannelMatrix, noise: Optional[NoiseCorrelation] = None,
 
     Labels are "X1".."XK", "Y1".."YK", then "G<m>" in genie order.  Inputs are
     iid unit-power; Y = H X + Z with Cov(Z) = noise.sigma, or I by default.
-    The (X, Y) rows are :func:`square_root`'s, and each genie's row is written
-    out: the target's channel row less its direct gain on X, conj(rho) times
-    row ``paired_with`` of the noise factor, and sqrt(1 - |rho|^2) on a fresh
-    noise W'.  So every GenieSpec has a law, and a coupling is refused only
-    as square_root refuses it.
+    The root is :func:`genie_root`'s; this call only labels it.
     """
-    K = ch.K
-    seen_targets = set()
-    for g in genies:
-        if not (1 <= g.target <= K) or not (1 <= g.paired_with <= K):
-            raise IndexOutOfRange(
-                f"genie indices (target={g.target}, paired_with={g.paired_with}) outside 1..{K}")
-        if g.target in seen_targets:
-            raise LabelOverlap(f"two genies share target {g.target}")
-        seen_targets.add(g.target)
-
-    n_g = len(genies)
-    root = np.zeros((2 * K + n_g, 2 * K + n_g), dtype=complex)
-    root[:2 * K, :2 * K] = square_root(ch, noise)
-    for a, g in enumerate(genies):
-        row = root[2 * K + a]
-        row[:K] = ch.entries[g.target - 1]
-        row[g.target - 1] = 0.0
-        # zeros kept unsigned (+ 0.0) and |rho|^2 summed as re^2 + im^2: with genies on
-        # distinct receivers, the Cholesky factor of Cov(Z, Z~) entry for entry
-        row[K:2 * K] = root[K + g.paired_with - 1, K:2 * K] * g.rho.conjugate() + 0.0
-        row[2 * K + a] = math.sqrt(1.0 - (g.rho.conjugate() * g.rho).real)
-    root.setflags(write=False)
-    labels = ([f"X{i}" for i in range(1, K + 1)]
-              + [f"Y{i}" for i in range(1, K + 1)]
+    root = genie_root(ch, noise, [(g.target, g.rho, g.paired_with) for g in genies])
+    labels = ([f"X{i}" for i in range(1, ch.K + 1)]
+              + [f"Y{i}" for i in range(1, ch.K + 1)]
               + [f"G{g.target}" for g in genies])
     return JointGaussian(tuple(labels), root=root)
 

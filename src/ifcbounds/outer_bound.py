@@ -62,8 +62,8 @@ A key reduction used throughout: conditioning on the inputs outside S makes
 a term depend only on the |S| x |S| subchannel H[pi, pi] and the matching
 block of the noise correlation, so every search runs in the reduced space and
 the witness is embedded back at the end.  Both reference routes read QR
-pivots of a square root: ETW's of the genie law's (``build_joint``), in two
-batched calls per term, KRA's, and ``certify``'s KRA re-check
+pivots of a square root: ETW's of the genie law's (``genie_root``, unlabelled),
+in two batched calls per term, KRA's, and ``certify``'s KRA re-check
 (``_bound_at_coupling``), of the reduced law's.
 """
 
@@ -90,8 +90,7 @@ from .gaussian_info import (
     EIG_TOL,
     LOG2PIE,
     RHO_CAP,
-    GenieSpec,
-    build_joint,
+    genie_root,
     refuse_pivots,
     square_root,
     squared_pivots,
@@ -694,25 +693,24 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
 
     Summand for k in S (ascending), partnered with m = pi_k:
     h(Y_k | G_m) - h(G_m | Y_k, X_1..X_K), each read by row index off the
-    squared QR pivots of the law's root (build_joint): Y_k's after G_m's, and
-    G_m's after X_1..X_K and Y_k, which is its noise's residual given Z_k, so
-    the second entropy is exactly log2(pi e (1 - |rho|^2)).  Both are computed
-    and checked against each other, which pins the root's assembly, up to the
-    pivot's QR error of eps times its row's norm: 32 eps sqrt(Var G_m / (1 -
-    |rho|^2)) bits, checked exactly, in math.log2, on every summand.  Every
-    summand's rows (G_m, Y_k) are stacked into one squared_pivots call and its
-    rows (X_1..X_K, Y_k, G_m) into another, each pivot bit for bit that of its
-    own block's call.  pivot_log2det's rules are decided for all pivots in one
-    vectorised comparison, and only a summand where one fires is worded by
+    squared QR pivots of the law's root (genie_root, with no labelled law):
+    Y_k's after G_m's, and G_m's after X_1..X_K and Y_k, which is its noise's
+    residual given Z_k, so the second entropy is exactly log2(pi e (1 -
+    |rho|^2)).  Both are computed and checked against each other, which pins
+    the root's assembly, up to the pivot's QR error of eps times its row's
+    norm: 32 eps sqrt(Var G_m / (1 - |rho|^2)) bits, checked exactly, in
+    math.log2, on every summand.  Every summand's rows (G_m, Y_k) are stacked
+    into one squared_pivots call and its rows (X_1..X_K, Y_k, G_m) into
+    another, each pivot bit for bit that of its own block's call.
+    pivot_log2det's rules are decided for all pivots in one vectorised
+    comparison, and only a summand where one fires is worded by
     refuse_pivots.  The summands are read in order, so the first at fault
     raises, as summand-by-summand reads would, and the value sums math.log2
-    of Python floats in that order, bit for bit those reads' value.
+    of the pivots as Python floats in that order, bit for bit those reads'.
     """
     if len(rhos) != t.size:
         raise ValidationError(f"need {t.size} genie correlations, got {len(rhos)}")
-    genies = [GenieSpec(target=m, rho=complex(r), paired_with=k)
-              for k, m, r in zip(t.subset, t.perm, rhos)]
-    root = build_joint(ch, None, genies).root  # refuses users beyond K
+    root = genie_root(ch, None, zip(t.perm, rhos, t.subset))  # refuses users beyond K
     K = ch.K
     # per summand, the rows (G_m, Y_k) and then (X_1..X_K, Y_k, G_m)
     rows = np.array([[2 * K + a, K + k - 1, *range(K), K + k - 1, 2 * K + a]
@@ -720,18 +718,20 @@ def etw_term_value(ch: ChannelMatrix, t: BoundTerm, rhos: Sequence[complex]) -> 
     squares = np.hstack([squared_pivots(root[rows[:, :2]]), squared_pivots(root[rows[:, 2:]])])
     var = np.sum(root.real ** 2 + root.imag ** 2, axis=1)[rows]
     factor = np.array([_EPS, EIG_TOL] + [_EPS] * (K + 1) + [EIG_TOL])
-    fails = (squares <= factor * var).any(axis=1)
+    fails = (squares <= factor * var).any(axis=1).tolist()
+    # what each summand reads, as Python floats: Y_k's pivot, G_m's, and Var G_m
+    reads = zip(squares[:, 1].tolist(), squares[:, -1].tolist(), var[:, -1].tolist())
     total = 0.0
-    for k, m, r, fail, sq, v in zip(t.subset, t.perm, rhos, fails.tolist(), squares, var):
+    for a, (k, m, r, (y, g, var_g), fail) in enumerate(zip(t.subset, t.perm, rhos, reads, fails)):
         if fail:  # each pivot's (target, given) labels
             gm, chain = [f"G{m}"], [f"X{i}" for i in range(1, K + 1)] + [f"Y{k}"]
             names = [([], gm), ([f"Y{k}"], gm)] + [([], chain)] * (K + 1) + [(gm, chain)]
-            refuse_pivots(sq, v, factor, names.__getitem__)
-        first = LOG2PIE + math.log2(sq[1])
-        second = LOG2PIE + math.log2(sq[-1])
+            refuse_pivots(squares[a], var[a], factor, names.__getitem__)
+        first = LOG2PIE + math.log2(y)
+        second = LOG2PIE + math.log2(g)
         residual = 1.0 - abs(r) ** 2
         closed = LOG2PIE + math.log2(residual)
-        if abs(second - closed) > 32.0 * _EPS * math.sqrt(v[-1] / residual):
+        if abs(second - closed) > 32.0 * _EPS * math.sqrt(var_g / residual):
             raise InternalConsistencyError(
                 f"residual genie entropy mismatch: QR {second!r} vs closed form {closed!r}")
         total += first - second

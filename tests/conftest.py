@@ -2,8 +2,14 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# no example database: every run draws afresh, so a draw that failed once is
+# not replayed first by every later run in the checkout (.hypothesis/)
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
 
 
 @pytest.fixture

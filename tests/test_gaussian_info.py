@@ -8,7 +8,7 @@ import ifcbounds as ifc
 from ifcbounds.errors import (
     IndexOutOfRange, InternalConsistencyError, LabelOverlap, NotPSD, RhoTooLarge,
     SingularCovariance)
-from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP, squared_pivots
+from ifcbounds.gaussian_info import LOG2PIE, RHO_CAP, genie_root, squared_pivots
 from ifcbounds.model import make_joint
 
 from support import (
@@ -178,8 +178,8 @@ def test_genies_on_distinct_receivers_need_no_eigen_check():
 
 
 def test_genie_terms_make_no_eigen_solve(monkeypatch):
-    # one law per (subset, ordering) term, 64 at K = 4, and none eigen-factored
-    laws = count_calls(monkeypatch, ifc.build_joint)
+    # one root per (subset, ordering) term, 64 at K = 4, and none eigen-factored
+    laws = count_calls(monkeypatch, genie_root)
     eigen = [count_calls(monkeypatch, np.linalg.eigvalsh), count_calls(monkeypatch, np.linalg.eigh)]
     ifc.region(random_channel(np.random.default_rng(16), 4), families="etw")
     assert (len(laws), sum(map(len, eigen))) == (ifc.count_bounds(4), 0)

@@ -12,12 +12,13 @@ from ifcbounds.construct import invert_coupling_recursion
 from ifcbounds.errors import (
     IndexOutOfRange,
     InternalConsistencyError,
+    RhoTooLarge,
     SingularCovariance,
     TooLarge,
     ValidationError,
 )
-from ifcbounds.gaussian_info import RHO_CAP, GenieSpec, build_joint, pivot_log2det
-from ifcbounds.model import make_joint
+from ifcbounds.gaussian_info import RHO_CAP, GenieSpec, build_joint, genie_root, pivot_log2det
+from ifcbounds.model import JointGaussian, make_joint
 from ifcbounds.oracle import CorrelationAngles
 from ifcbounds.outer_bound import (
     BFGS_GTOL,
@@ -648,21 +649,38 @@ def test_doctored_genie_cross_covariance_trips_the_residual_check(monkeypatch):
     rhos = (0.5 + 0.2j, 0.0)
     for ch, offset in ((random_channel(np.random.default_rng(48), 2), 1e-6),
                        (ifc.validate_channel(np.array([[1.0, 1e3], [1e3, 1.0]])), 1e-4)):
-        ifc.etw_term_value(ch, t, rhos)  # the honest joint passes
+        ifc.etw_term_value(ch, t, rhos)  # the honest root passes
 
         def doctored(ch_, noise, genies, offset=offset):
-            j = build_joint(ch_, noise, genies)
-            cov = np.array(j.cov)
-            iy, ig = j.indices(["Y1", "G2"])
+            root = genie_root(ch_, noise, genies)
+            cov = root @ root.conj().T
+            iy, ig = 2, 4  # Y1, and G2 (summand 1's genie), at K = 2
             cov[iy, ig] += offset
             cov[ig, iy] = np.conj(cov[iy, ig])
-            return make_joint(j.labels, cov)
+            return make_joint([str(i) for i in range(len(cov))], cov).root
 
         with monkeypatch.context() as m:
-            m.setattr(outer_bound, "build_joint", doctored)
+            m.setattr(outer_bound, "genie_root", doctored)
             with pytest.raises(InternalConsistencyError,
                                match="residual genie entropy mismatch: QR"):
                 ifc.etw_term_value(ch, t, rhos)
+
+
+def test_genie_terms_build_no_labelled_law(monkeypatch):
+    def forbidden(name):
+        def post_init(self):
+            raise AssertionError(f"{name} built")
+        return post_init
+
+    monkeypatch.setattr(JointGaussian, "__post_init__", forbidden("JointGaussian"))
+    monkeypatch.setattr(GenieSpec, "__post_init__", forbidden("GenieSpec"))
+    ch = random_channel(np.random.default_rng(44), 3)
+    ifc.region(ch, families="etw")  # etw_term_min on every term
+    # the patches are live: the labelled route still builds both
+    with pytest.raises(AssertionError, match="GenieSpec built"):
+        GenieSpec(2, 0j, 1)
+    with pytest.raises(AssertionError, match="JointGaussian built"):
+        build_joint(ch)
 
 
 def test_genie_residual_check_holds_at_large_cross_gains():
@@ -924,8 +942,23 @@ def test_term_values_leave_size_checks_to_the_joint_law():
     t = ifc.BoundTerm((1, 2), (2, 1))
     with pytest.raises(IndexOutOfRange, match="noise correlation is 3x3"):
         ifc.kra_term_value(ch, ifc.identity_noise(3), t)
-    with pytest.raises(IndexOutOfRange, match="outside 1..2"):
+    with pytest.raises(IndexOutOfRange, match=re.escape(
+            "genie indices (target=3, paired_with=1) outside 1..2")):
         ifc.etw_term_value(ch, ifc.BoundTerm((1, 3), (3, 1)), (0.1, 0.2))
+
+
+def test_etw_term_value_refuses_a_rho_past_the_cap_then_a_user_beyond_k():
+    ch = random_channel(np.random.default_rng(3), 2)
+    t = ifc.BoundTerm((1, 2), (2, 1))
+    for bad, shown in ((0.9999999, "0.99999990"), (-0.6 + 0.8j, "1.00000000"),
+                       (complex("nan"), "nan"), (complex(0.1, float("nan")), "nan"),
+                       (complex("inf"), "inf")):
+        with pytest.raises(RhoTooLarge) as got:
+            ifc.etw_term_value(ch, t, (0.1, bad))
+        assert str(got.value) == f"|rho| = {shown} exceeds {RHO_CAP}"
+    # every rho is checked before any user index (the test above pins that refusal)
+    with pytest.raises(RhoTooLarge, match="nan exceeds"):
+        ifc.etw_term_value(ch, ifc.BoundTerm((1, 3), (3, 1)), (0.1, complex("nan")))
 
 
 def test_sum_rate_only_past_the_enumeration_cap_takes_the_natural_order():

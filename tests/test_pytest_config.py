@@ -4,12 +4,15 @@
 hypothesis builds its failure report into an INTERNALERROR, which would hide
 the falsifying example and end the session.  The check runs pytest in a
 fresh process, under this repository's ``pyproject.toml``, on one property
-test that always fails.
+test that always fails.  The suite's hypothesis profile (``conftest.py``)
+keeps no example database, so each run draws afresh.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 CONFIG = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -33,3 +36,8 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in out, out
     assert res.returncode == 1, out
     assert "Falsifying example" in out, out
+
+
+def test_hypothesis_keeps_no_example_database():
+    # conftest's profile: a failing draw is reported, not saved for replay
+    assert settings().database is None
