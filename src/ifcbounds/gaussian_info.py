@@ -95,10 +95,7 @@ def genie_root(ch: ChannelMatrix, noise: Optional[NoiseCorrelation],
         row[m - 1] = 0.0
         # zeros kept unsigned (+ 0.0) and |rho|^2 summed as re^2 + im^2: with genies on
         # distinct receivers, the Cholesky factor of Cov(Z, Z~) entry for entry
-        if noise is None:  # row k of the factor I is e_k: conj(rho) times it, entry for entry
-            row[K + k - 1] = rho.conjugate() + 0.0
-        else:
-            row[K:2 * K] = root[K + k - 1, K:2 * K] * rho.conjugate() + 0.0
+        row[K:2 * K] = root[K + k - 1, K:2 * K] * rho.conjugate() + 0.0
         row[2 * K + a] = math.sqrt(1.0 - (rho.conjugate() * rho).real)
     root.setflags(write=False)
     return root

@@ -177,6 +177,25 @@ def test_genies_on_distinct_receivers_need_no_eigen_check():
         assert w[0] >= 1.0 - max(mags) - 1e-12, (K, n_g)
 
 
+def test_genie_root_is_the_same_with_and_without_the_identity_coupling():
+    # bit for bit, signed zeros included: a real or imaginary rho's conjugate
+    # carries a -0.0 that every written entry drops
+    rng = np.random.default_rng(17)
+    rhos = [0.5, -0.5, 0.5j, -0.5j, -0.0, complex(-0.0, -0.0), 0.3 - 0.4j]
+    for _ in range(40):
+        K = int(rng.integers(1, 6))
+        n_g = int(rng.integers(1, K + 1))
+        genies = [(int(m), rhos[rng.integers(len(rhos))], int(k))
+                  for m, k in zip(rng.permutation(K)[:n_g] + 1, rng.integers(1, K + 1, n_g))]
+        ch = random_channel(rng, K)
+        plain = genie_root(ch, None, genies)
+        coupled = genie_root(ch, ifc.identity_noise(K), genies)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(plain), part(coupled)), (K, genies)
+            assert np.array_equal(np.signbit(part(plain)), np.signbit(part(coupled))), (K, genies)
+        assert not np.signbit(plain[2 * K:].imag[plain[2 * K:] == 0]).any()
+
+
 def test_genie_terms_make_no_eigen_solve(monkeypatch):
     # one root per (subset, ordering) term, 64 at K = 4, and none eigen-factored
     laws = count_calls(monkeypatch, genie_root)
